@@ -10,7 +10,7 @@ from .catalog import (
     well_form_weights,
 )
 from .exclusion import curve_test, fibration_witness, smooth_point_test, solidity_summary
-from .linkengine import needs_unprojection, run_game, unproject, verify_tables
+from .linkengine import run_game, verify_tables
 from .singular import blowup_weights, normalize_terminal, singular_locus
 from .toric2ray import (
     ambient_walk,
@@ -18,7 +18,9 @@ from .toric2ray import (
     divisorial_target,
     minus_k,
     movable_position,
+    needs_unprojection,
     restrict_walk,
+    unproject,
     well_form_model,
 )
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import catalog as cat
@@ -204,39 +204,25 @@ def _verify_report() -> tuple[int, dict]:
             "count": report.catalog_count,
             "index_mismatches": list(report.index_mismatches),
         },
-        "links": {
-            "rows": report.link_rows,
-            "matched": sum(r["matched"] for r in report.link_rows),
-            "total": len(report.link_rows),
-        },
-        "exclusions": {
-            "rows": report.exclusion_rows,
-            "matched": sum(r["matched"] for r in report.exclusion_rows),
-            "total": len(report.exclusion_rows),
-        },
-        "matrices": {
-            "rows": report.matrix_rows,
-            "matched": sum(r["matched"] for r in report.matrix_rows),
-            "total": len(report.matrix_rows),
-        },
         "solidity": {
             "witnessed": list(summary.witnessed),
             "witness_less": list(summary.witness_less),
             "links_confirmed": links_confirmed,
         },
-        "deviations": [
-            {
-                "kind": d.kind,
-                "family": d.family,
-                "site": d.site,
-                "recorded": d.recorded,
-                "derived": d.derived,
-            }
-            for d in report.deviations
-        ],
+        "deviations": [asdict(d) for d in report.deviations],
         "failures": list(report.failures),
         "ok": report.ok and links_confirmed,
     }
+    for section, rows in (
+        ("links", report.link_rows),
+        ("exclusions", report.exclusion_rows),
+        ("matrices", report.matrix_rows),
+    ):
+        out[section] = {
+            "rows": rows,
+            "matched": sum(r["matched"] for r in rows),
+            "total": len(rows),
+        }
     return (0 if out["ok"] else 1), out
 
 

@@ -15,10 +15,6 @@ from math import prod
 
 from .catalog import FamilyRecord, Weights, anticanonical_cube, load_catalog
 
-#: Families whose projection fibre is a complete intersection rather than a
-#: hypersurface (the degree-a0*a1 pencil member is needed to cut the fibre).
-COMPLETE_INTERSECTION_FAMILIES = frozenset({122, 127, 129, 130})
-
 SMOOTH_POINT_THRESHOLD = Fraction(4)
 CURVE_THRESHOLD = Fraction(1)
 
@@ -96,9 +92,9 @@ class FibrationWitness:
 
     The projection to the first two coordinates has fibres of negative
     canonical degree: a degree-``d`` hypersurface in the truncated ambient
-    space, or (for the four listed families) the complete intersection of
-    the member with one degree-``a0*a1`` pencil member selected by an opaque
-    parameter.
+    space, or (when ``a0 > 1``, so that a degree-``a0*a1`` pencil member is
+    needed to cut the fibre) the complete intersection of the member with one
+    such pencil member selected by an opaque parameter.
     """
 
     family: int
@@ -116,7 +112,7 @@ def fibration_witness(record: FamilyRecord) -> FibrationWitness | None:
     a = record.weights
     if a[0] * a[1] >= record.index:
         return None
-    if record.id in COMPLETE_INTERSECTION_FAMILIES:
+    if a[0] > 1:
         witness = FibrationWitness(
             family=record.id,
             target=(a[0], a[1]),

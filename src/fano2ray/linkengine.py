@@ -1,14 +1,16 @@
 """Orchestration of the birational games and replay of the reference tables.
 
-``run_game`` drives the full pipeline for one singular point: Kawamata
-blow-up weights, rank-2 model, well-forming, unprojection when the
-hypersurface equation sits in the irrelevant ideal, the restricted 2-ray
-game, and the final verdict read off from the position of the anticanonical
-class in the movable cone (interior: elementary link to a Fano model;
-boundary: bad link; outside: no link).
+``run_game`` is the one place a game's stages are derived: Kawamata blow-up
+weights, the raw rank-2 model, its well-formed regrading, the unprojection
+(in the raw grading, done in :mod:`fano2ray.toric2ray`) when the hypersurface
+equation sits in the irrelevant ideal, the restricted 2-ray game, and the
+final verdict read off from the position of the anticanonical class in the
+movable cone (interior: elementary link to a Fano model; boundary: bad link;
+outside: no link).  The returned :class:`GameTrace` carries every stage.
 
-``verify_tables`` replays every recorded game and weight matrix, confirming
-the computed end models and verdicts and reporting every known discrepancy
+``verify_tables`` runs each recorded (family, site, tangent) game once and
+reads every checked value off its trace, confirming the computed end models,
+verdicts and weight matrices and reporting every known discrepancy
 in the reference data (misprinted Kawamata formats, degree-inconsistent key
 monomials, mislabelled blow-up rows, the inconsistent u-column of the
 unprojected 110 matrix) as a deviation with both the recorded and the
@@ -20,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .catalog import (
+    SOLID_CANDIDATES,
     FamilyRecord,
     Monomial,
     ambient_monomial_str,
@@ -27,7 +30,9 @@ from .catalog import (
     parse_ambient_monomial,
     weighted_degree,
 )
+from .exclusion import smooth_point_test
 from .singular import (
+    BlowupData,
     SingularLocusEntry,
     Stratum,
     blowup_weights,
@@ -38,15 +43,16 @@ from .toric2ray import (
     DivisorialTarget,
     LatticeError,
     RankTwoModel,
+    UnprojectionData,
     Vec,
     WallStep,
-    _sort_columns,
     build_model,
     match_recorded_grading,
     minus_k,
-    mono,
     movable_position,
+    needs_unprojection,
     restrict_walk,
+    unproject,
     well_form_model,
 )
 
@@ -57,83 +63,6 @@ class VerificationFailure(Exception):
     def __init__(self, report: "Report"):
         self.report = report
         super().__init__("; ".join(report.failures))
-
-
-# ---------------------------------------------------------------------------
-# unprojection
-
-
-@dataclass(frozen=True)
-class UnprojectionData:
-    """The split ``g = u*A + y_c*B`` and the weight of the new variable.
-
-    ``piece_u`` is the support of ``A`` and ``piece_center`` the support of
-    ``B``; the unprojection variable ``y = -A/y_c = B/u`` has bidegree
-    ``deg(g) - deg(u) - deg(y_c)`` in the grading of the model the split was
-    computed in.  Eliminating ``y`` from the two equations recovers ``g``.
-    """
-
-    piece_u: frozenset
-    piece_center: frozenset
-    weight: Vec
-    label: str = "y"
-
-
-def _strip(m, lab: str):
-    d = dict(m)
-    if d.get(lab, 0) < 1:
-        raise ValueError(f"{lab} does not divide {m}")
-    d[lab] -= 1
-    return mono(d.items())
-
-
-def needs_unprojection(model: RankTwoModel) -> tuple[bool, UnprojectionData | None]:
-    """Whether the equation lies in the irrelevant ideal, with the pieces.
-
-    True exactly when every support monomial is divisible both by a variable
-    of the low side ``(u, center)`` and by one of the remaining variables;
-    the two pieces (u-multiples stripped of one ``u``, the rest stripped of
-    one center variable) must both be nonempty.
-    """
-    if len(model.equations) != 1:
-        raise ValueError("unprojection test expects a single-equation model")
-    eq = model.equations[0]
-    side = {"u", model.center}
-    for m in eq.support:
-        labs = {lab for lab, _ in m}
-        if not labs & side or not labs - side:
-            return False, None
-    piece_u = set()
-    piece_center = set()
-    for m in eq.support:
-        if dict(m).get("u", 0) >= 1:
-            piece_u.add(_strip(m, "u"))
-        else:
-            piece_center.add(_strip(m, model.center))
-    if not piece_u or not piece_center:
-        return False, None
-    cols = model.column_map()
-    u, c = cols["u"], cols[model.center]
-    weight = (eq.bidegree[0] - u[0] - c[0], eq.bidegree[1] - u[1] - c[1])
-    return True, UnprojectionData(
-        piece_u=frozenset(piece_u), piece_center=frozenset(piece_center), weight=weight
-    )
-
-
-def unproject(model: RankTwoModel, pieces: UnprojectionData) -> RankTwoModel:
-    """Adjoin the unprojection variable and replace ``g`` by the two equations
-    ``y*y_c + A`` and ``-u*y + B`` (supports only; signs are immaterial)."""
-    if "y" in model.column_map():
-        raise ValueError("model already carries an unprojection variable")
-    columns = _sort_columns(list(model.columns) + [(pieces.label, pieces.weight)])
-    colmap = dict(columns)
-    c = model.center
-    eq1 = {mono([(pieces.label, 1), (c, 1)])} | set(pieces.piece_u)
-    eq2 = {mono([("u", 1), (pieces.label, 1)])} | set(pieces.piece_center)
-    from .toric2ray import _make_equation
-
-    equations = (_make_equation(eq1, colmap), _make_equation(eq2, colmap))
-    return RankTwoModel(columns=columns, equations=equations, center=model.center)
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +108,20 @@ class LinkOutcome:
 
 @dataclass(frozen=True)
 class GameTrace:
-    steps: tuple[WallStep, ...]
-    unprojected: bool
+    """Every stage of one game.  ``raw_unprojected`` is ``None`` when the
+    equation is not in the irrelevant ideal; ``game_model``, the model the
+    walk runs on, is the well-formed ``raw_unprojected`` or ``well_formed``."""
+
+    blowup: BlowupData
     raw: RankTwoModel
     well_formed: RankTwoModel
+    raw_unprojected: RankTwoModel | None
     game_model: RankTwoModel
+    steps: tuple[WallStep, ...]
+
+    @property
+    def unprojected(self) -> bool:
+        return self.raw_unprojected is not None
 
     @property
     def final_target(self) -> DivisorialTarget | None:
@@ -207,8 +145,9 @@ def run_game(
     blow = blowup_weights(record, entry, tangent)
     raw = build_model(record, blow)
     wf = well_form_model(raw)
-    needs, pieces = needs_unprojection(wf)
-    game_model = unproject(wf, pieces) if needs else wf
+    needs, pieces = needs_unprojection(raw)
+    raw_unprojected = unproject(raw, pieces) if needs else None
+    game_model = well_form_model(raw_unprojected) if needs else wf
     steps = restrict_walk(game_model)
 
     divisorial = [i for i, s in enumerate(steps) if s.restricted_kind == "divisorial"]
@@ -246,7 +185,12 @@ def run_game(
     else:
         kind = "no_link"
     trace = GameTrace(
-        steps=steps, unprojected=needs, raw=raw, well_formed=wf, game_model=game_model
+        blowup=blow,
+        raw=raw,
+        well_formed=wf,
+        raw_unprojected=raw_unprojected,
+        game_model=game_model,
+        steps=steps,
     )
     return trace, LinkOutcome(
         kind=kind, model=model, minus_k=mk, position=position, warnings=tuple(warnings)
@@ -300,23 +244,17 @@ def _raw_blowup_row(model: RankTwoModel) -> str:
     return ",".join(tokens)
 
 
-def _raw_residues(record: FamilyRecord, entry: SingularLocusEntry, tangent: int) -> tuple[int, ...]:
-    r = entry.r
-    skip = {tangent}
-    if entry.center is not None:
-        skip.add(entry.center)
-    else:
-        skip.update(entry.site.variables)
-    return tuple(record.weights[l] % r for l in range(5) if l not in skip)
-
-
-def _kawamata_per_variable(record: FamilyRecord, entry: SingularLocusEntry, tangent: int):
-    from .singular import normalize_terminal
-
-    r = entry.r
-    locals_ = tuple(l for l in range(5) if l not in (entry.center, tangent))
-    sing = normalize_terminal(r, tuple(record.weights[l] for l in locals_), locals_)
-    return sing.per_variable_form
+def _replay_game(games: dict, record: FamilyRecord, point: str, tangent: int | None = None):
+    """``run_game`` memoised by (family, site, tangent) within one replay;
+    ``tangent=None`` stands for the site's first tangent candidate, the one
+    the link and matrix tables refer to."""
+    key = (record.id, point, tangent)
+    if key not in games:
+        entry = locate(record, point)
+        if tangent is None:
+            tangent = entry.tangent_candidates[0][1]
+        games[key] = run_game(record, entry, tangent)
+    return games[key]
 
 
 def _consistent_key_fix(record: FamilyRecord, bad: Monomial, center: int) -> str | None:
@@ -363,12 +301,10 @@ def _check_keys(record, entry, exp, report: Report) -> None:
                 )
 
 
-def _check_links(records, report: Report) -> None:
+def _check_links(records, games: dict, report: Report) -> None:
     for record in records:
         for exp in record.expected.links:
-            entry = locate(record, exp.point)
-            (key, tangent) = entry.tangent_candidates[0]
-            trace, outcome = run_game(record, entry, tangent)
+            trace, outcome = _replay_game(games, record, exp.point)
             target = trace.final_target
             computed = str(target) if target else "(no divisorial contraction)"
             degs = ",".join(map(str, sorted(exp.target_degrees)))
@@ -386,14 +322,15 @@ def _check_links(records, report: Report) -> None:
                     f"family {record.id} {exp.point}: expected {expected}, got {computed} "
                     f"({outcome.kind})"
                 )
-            derived_type = _kawamata_per_variable(record, entry, tangent)
+            r = trace.blowup.r
+            derived_type = trace.blowup.singularity.per_variable_form
             if tuple(exp.kawamata_type) != derived_type:
                 report.add_deviation(
                     "kawamata_format",
                     record.id,
                     exp.point,
-                    "1/%d(%s)" % (entry.r, ",".join(map(str, exp.kawamata_type))),
-                    "1/%d(%s)" % (entry.r, ",".join(map(str, derived_type))),
+                    "1/%d(%s)" % (r, ",".join(map(str, exp.kawamata_type))),
+                    "1/%d(%s)" % (r, ",".join(map(str, derived_type))),
                 )
             report.link_rows.append(
                 {
@@ -408,12 +345,11 @@ def _check_links(records, report: Report) -> None:
             )
 
 
-def _check_exclusions(records, report: Report) -> None:
+def _check_exclusions(records, games: dict, report: Report) -> None:
     for record in records:
         for exp in record.expected.exclusions:
-            entry = locate(record, exp.site)
-            tangent = int(exp.tangent[1:])
-            trace, outcome = run_game(record, entry, tangent)
+            trace, outcome = _replay_game(games, record, exp.site, int(exp.tangent[1:]))
+            entry = trace.blowup.center_entry
             verdict_ok = outcome.kind == exp.verdict
             if not verdict_ok:
                 report.failures.append(
@@ -425,11 +361,7 @@ def _check_exclusions(records, report: Report) -> None:
                     f"family {record.id} {exp.site}: point count {entry.count} != "
                     f"recorded {exp.count}"
                 )
-            row = _raw_blowup_row(
-                trace.raw
-                if not trace.unprojected
-                else unproject(trace.raw, needs_unprojection(trace.raw)[1])
-            )
+            row = _raw_blowup_row(trace.raw_unprojected or trace.raw)
             blowup_ok = row == exp.corrected_blowup
             if not blowup_ok:
                 report.failures.append(
@@ -440,20 +372,20 @@ def _check_exclusions(records, report: Report) -> None:
                 report.add_deviation(
                     "blowup_row_label", record.id, exp.site, exp.blowup, exp.corrected_blowup
                 )
-            derived_raw = _raw_residues(record, entry, tangent)
+            sing = trace.blowup.singularity
+            derived_raw = tuple(w for _, w in sing.local_weights)
             if tuple(exp.local_type) != derived_raw:
-                kaw = _kawamata_per_variable(record, entry, tangent)
                 report.add_deviation(
                     "singularity_type",
                     record.id,
                     exp.site,
-                    "1/%d(%s)" % (entry.r, ",".join(map(str, exp.local_type))),
+                    "1/%d(%s)" % (sing.r, ",".join(map(str, exp.local_type))),
                     "1/%d(%s), normalized 1/%d(%s)"
                     % (
-                        entry.r,
+                        sing.r,
                         ",".join(map(str, derived_raw)),
-                        entry.r,
-                        ",".join(map(str, kaw)),
+                        sing.r,
+                        ",".join(map(str, sing.per_variable_form)),
                     ),
                 )
             _check_keys(record, entry, exp, report)
@@ -472,25 +404,20 @@ def _check_exclusions(records, report: Report) -> None:
             )
 
 
-def _model_for_stage(record, point: str, stage: str) -> RankTwoModel:
-    entry = locate(record, point)
-    (_, tangent) = entry.tangent_candidates[0]
-    raw = build_model(record, blowup_weights(record, entry, tangent))
-    if stage == "raw":
-        return raw
-    if stage == "unprojected":
-        return unproject(raw, needs_unprojection(raw)[1])
-    if stage == "wellformed":
-        return well_form_model(raw)
-    if stage == "wellformed_unprojected":
-        return well_form_model(unproject(raw, needs_unprojection(raw)[1]))
-    raise ValueError(f"unknown stage {stage}")
+#: Recorded matrix stage -> the GameTrace field holding that model.
+_STAGE_FIELDS = {
+    "raw": "raw",
+    "wellformed": "well_formed",
+    "unprojected": "raw_unprojected",
+    "wellformed_unprojected": "game_model",
+}
 
 
-def _check_matrices(records, report: Report) -> None:
+def _check_matrices(records, games: dict, report: Report) -> None:
     for record in records:
         for exp in record.expected.matrices:
-            model = _model_for_stage(record, exp.point, exp.stage)
+            trace, _ = _replay_game(games, record, exp.point)
+            model = getattr(trace, _STAGE_FIELDS[exp.stage])
             recorded = dict(exp.columns())
             mine = model.column_map()
             method = "exact"
@@ -538,10 +465,9 @@ def verify_tables() -> Report:
     Returns a :class:`Report` with one row per checked item and the full
     deviations list; raises :class:`VerificationFailure` when recomputation
     genuinely disagrees with a corrected reference value (known misprints are
-    deviations, not failures).  Deterministic and idempotent.
+    deviations, not failures).  Every recorded game runs once.  Deterministic
+    and idempotent.
     """
-    from .exclusion import smooth_point_test
-
     records = load_catalog()
     report = Report()
     report.catalog_count = len(records)
@@ -558,15 +484,15 @@ def verify_tables() -> Report:
         "P(a_0,a_2,a_2,a_3,a_4)",
         "P(a_0,a_1,a_2,a_3,a_4)",
     )
-    _check_links(records, report)
-    _check_exclusions(records, report)
-    _check_matrices(records, report)
-    for fam in (100, 101, 102):
-        rep = smooth_point_test(records[fam - 96])
+    games: dict = {}
+    _check_links(records, games, report)
+    _check_exclusions(records, games, report)
+    _check_matrices(records, games, report)
+    for rep in (smooth_point_test(r) for r in records if r.id in SOLID_CANDIDATES):
         if not rep.certified:
             report.add_deviation(
                 "smooth_point_bound",
-                fam,
+                rep.family,
                 "smooth point",
                 "claimed contradiction 2 > a0",
                 f"test value {rep.test_value} exceeds 4 at h={rep.h_degree}; "

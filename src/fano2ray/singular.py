@@ -262,16 +262,23 @@ class BlowupData:
     graded coordinate change that centers the point and fixes the tangent
     direction (pure center powers and the key monomials of the other tangent
     candidates); they must be dropped from the equation before transforming.
+    ``singularity`` is the germ normalized over the locals transverse to the
+    center and the tangent; its ``per_variable_form`` is the Kawamata format
+    of the game.
     """
 
     center_entry: SingularLocusEntry
     tangent: int
     b_weights: tuple[tuple[int, int], ...]
     u_weight: tuple[int, int]
-    multiplier: int
+    singularity: QuotientSingularity
     excluded: frozenset[Monomial]
     r: int
     center_index: int
+
+    @property
+    def multiplier(self) -> int:
+        return self.singularity.multiplier
 
     def b(self, index: int) -> int:
         for i, b in self.b_weights:
@@ -352,7 +359,7 @@ def blowup_weights(
         tangent=tangent,
         b_weights=tuple(sorted(b.items())),
         u_weight=(0, -r),
-        multiplier=m,
+        singularity=sing,
         excluded=frozenset(excluded),
         r=r,
         center_index=c,

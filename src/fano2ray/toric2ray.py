@@ -17,13 +17,18 @@ grading they were computed in.
 
 Bidegrees are plain integer pairs ``(d1, d2)``: the degree of a monomial
 against the two rows of the weight matrix.
+
+When the equation lies in the irrelevant ideal, ``unproject`` adjoins a new
+variable, turning the hypersurface into a codimension-2 complete
+intersection.  The monomial format, the column order and the construction of
+equations are private to this module; other modules use the functions here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from math import gcd
 
 from .catalog import FamilyRecord, well_form_weights
@@ -85,6 +90,17 @@ class TransformedEquation:
     support: frozenset[Mono]
     bidegree: Vec
 
+    @cached_property
+    def ordered_support(self) -> tuple[Mono, ...]:
+        """The support in increasing monomial order, sorted once."""
+        return tuple(sorted(self.support))
+
+
+@dataclass(frozen=True)
+class _Wall:
+    direction: Vec
+    labels: tuple[str, ...]
+
 
 @dataclass(frozen=True)
 class RankTwoModel:
@@ -103,12 +119,6 @@ class RankTwoModel:
     def labels(self) -> tuple[str, ...]:
         return tuple(lab for lab, _ in self.columns)
 
-    def column(self, label: str) -> Vec:
-        for lab, v in self.columns:
-            if lab == label:
-                return v
-        raise KeyError(label)
-
     def column_map(self) -> dict[str, Vec]:
         return dict(self.columns)
 
@@ -117,6 +127,20 @@ class RankTwoModel:
             tuple(v[0] for _, v in self.columns),
             tuple(v[1] for _, v in self.columns),
         )
+
+    @cached_property
+    def walls(self) -> tuple[tuple[_Wall, ...], dict[str, int]]:
+        """The ray directions in column order, parallel columns grouped into
+        one wall, and the wall index of every label."""
+        groups: list[tuple[Vec, list[str]]] = []
+        for lab, v in self.columns:
+            p = _primitive(v)
+            if groups and groups[-1][0] == p:
+                groups[-1][1].append(lab)
+            else:
+                groups.append((p, [lab]))
+        walls = tuple(_Wall(direction=d, labels=tuple(labs)) for d, labs in groups)
+        return walls, {lab: gi for gi, w in enumerate(walls) for lab in w.labels}
 
 
 def _bidegree(m: Mono, cols: dict[str, Vec]) -> Vec:
@@ -284,24 +308,82 @@ def regrade(model: RankTwoModel, matrix: tuple[tuple[int, int], tuple[int, int]]
 
 
 # ---------------------------------------------------------------------------
-# walls and the ambient walk
+# unprojection
 
 
 @dataclass(frozen=True)
-class _Wall:
-    direction: Vec
-    labels: tuple[str, ...]
+class UnprojectionData:
+    """The split ``g = u*A + y_c*B`` and the weight of the new variable.
+
+    ``piece_u`` is the support of ``A`` and ``piece_center`` the support of
+    ``B``; the unprojection variable ``y = -A/y_c = B/u`` has bidegree
+    ``deg(g) - deg(u) - deg(y_c)`` in the grading of the model the split was
+    computed in.  Eliminating ``y`` from the two equations recovers ``g``.
+    """
+
+    piece_u: frozenset
+    piece_center: frozenset
+    weight: Vec
+    label: str = "y"
 
 
-def _wall_groups(model: RankTwoModel) -> list[_Wall]:
-    groups: list[tuple[Vec, list[str]]] = []
-    for lab, v in model.columns:
-        p = _primitive(v)
-        if groups and groups[-1][0] == p:
-            groups[-1][1].append(lab)
+def _strip(m: Mono, lab: str) -> Mono:
+    d = dict(m)
+    if d.get(lab, 0) < 1:
+        raise ValueError(f"{lab} does not divide {m}")
+    d[lab] -= 1
+    return mono(d.items())
+
+
+def needs_unprojection(model: RankTwoModel) -> tuple[bool, UnprojectionData | None]:
+    """Whether the equation lies in the irrelevant ideal, with the pieces.
+
+    True exactly when every support monomial is divisible both by a variable
+    of the low side ``(u, center)`` and by one of the remaining variables;
+    the two pieces (u-multiples stripped of one ``u``, the rest stripped of
+    one center variable) must both be nonempty.
+    """
+    if len(model.equations) != 1:
+        raise ValueError("unprojection test expects a single-equation model")
+    eq = model.equations[0]
+    side = {"u", model.center}
+    for m in eq.support:
+        labs = {lab for lab, _ in m}
+        if not labs & side or not labs - side:
+            return False, None
+    piece_u = set()
+    piece_center = set()
+    for m in eq.support:
+        if dict(m).get("u", 0) >= 1:
+            piece_u.add(_strip(m, "u"))
         else:
-            groups.append((p, [lab]))
-    return [_Wall(direction=d, labels=tuple(labs)) for d, labs in groups]
+            piece_center.add(_strip(m, model.center))
+    if not piece_u or not piece_center:
+        return False, None
+    cols = model.column_map()
+    u, c = cols["u"], cols[model.center]
+    weight = (eq.bidegree[0] - u[0] - c[0], eq.bidegree[1] - u[1] - c[1])
+    return True, UnprojectionData(
+        piece_u=frozenset(piece_u), piece_center=frozenset(piece_center), weight=weight
+    )
+
+
+def unproject(model: RankTwoModel, pieces: UnprojectionData) -> RankTwoModel:
+    """Adjoin the unprojection variable and replace ``g`` by the two equations
+    ``y*y_c + A`` and ``-u*y + B`` (supports only; signs are immaterial)."""
+    if "y" in model.column_map():
+        raise ValueError("model already carries an unprojection variable")
+    columns = _sort_columns(list(model.columns) + [(pieces.label, pieces.weight)])
+    colmap = dict(columns)
+    c = model.center
+    eq1 = {mono([(pieces.label, 1), (c, 1)])} | set(pieces.piece_u)
+    eq2 = {mono([("u", 1), (pieces.label, 1)])} | set(pieces.piece_center)
+    equations = (_make_equation(eq1, colmap), _make_equation(eq2, colmap))
+    return RankTwoModel(columns=columns, equations=equations, center=model.center)
+
+
+# ---------------------------------------------------------------------------
+# walls and the ambient walk
 
 
 @dataclass(frozen=True)
@@ -348,10 +430,9 @@ def ambient_walk(model: RankTwoModel) -> tuple[WallStep, ...]:
     contraction of that ray's divisor; every other wall is a flip with local
     weights ``det(ray, wall) / gcd``, positive on the pre-crossing side.
     """
-    groups = _wall_groups(model)
+    groups, index_of = model.walls
     if len(groups) < 3:
         raise DegenerateWall("fewer than three ray directions: no interior wall")
-    index_of = {lab: gi for gi, g in enumerate(groups) for lab in g.labels}
     steps = []
     for gi in range(2, len(groups) - 1):
         wall = groups[gi]
@@ -369,26 +450,16 @@ def ambient_walk(model: RankTwoModel) -> tuple[WallStep, ...]:
                 beyond.append(lab)
             weights.append((lab, d))
         g = gcd(*(abs(d) for _, d in weights))
-        weights = [(lab, d // g) for lab, d in weights]
-        if len(beyond) == 1:
-            steps.append(
-                WallStep(
-                    wall=wall.labels[0],
-                    wall_variables=wall.labels,
-                    ambient_kind="contraction",
-                    ambient_weights=tuple(weights),
-                    contracted=beyond[0],
-                )
+        contraction = len(beyond) == 1
+        steps.append(
+            WallStep(
+                wall=wall.labels[0],
+                wall_variables=wall.labels,
+                ambient_kind="contraction" if contraction else "flip",
+                ambient_weights=tuple((lab, d // g) for lab, d in weights),
+                contracted=beyond[0] if contraction else None,
             )
-        else:
-            steps.append(
-                WallStep(
-                    wall=wall.labels[0],
-                    wall_variables=wall.labels,
-                    ambient_kind="flip",
-                    ambient_weights=tuple(weights),
-                )
-            )
+        )
     return tuple(steps)
 
 
@@ -396,7 +467,8 @@ def restrict_walk(model: RankTwoModel) -> tuple[WallStep, ...]:
     """Fill in the restricted classification of every wall crossing.
 
     Iso: some equation has a monomial supported on the wall variables alone
-    (the restricted variety misses the modified locus).  Flip/flop: every
+    (the restricted variety misses the modified locus); the witness is the
+    least such monomial of the first such equation.  Flip/flop: every
     equation has a monomial ``v * wall^k`` linear in a pre-crossing off-wall
     variable ``v``, so each such ``v`` is eliminated and its weight dropped
     from the ambient local weights; the result is an Atiyah flop exactly when
@@ -404,8 +476,7 @@ def restrict_walk(model: RankTwoModel) -> tuple[WallStep, ...]:
     no rule applies stays indeterminate; the final verdict then rests on the
     anticanonical position alone.
     """
-    groups = _wall_groups(model)
-    index_of = {lab: gi for gi, g in enumerate(groups) for lab in g.labels}
+    _, index_of = model.walls
     steps = []
     for step in ambient_walk(model):
         wall_vars = set(step.wall_variables)
@@ -419,14 +490,15 @@ def restrict_walk(model: RankTwoModel) -> tuple[WallStep, ...]:
                 )
             )
             continue
-        iso_witness = None
-        for eq in model.equations:
-            for m in eq.support:
-                if m and all(lab in wall_vars for lab, _ in m):
-                    iso_witness = m
-                    break
-            if iso_witness:
-                break
+        iso_witness = next(
+            (
+                m
+                for eq in model.equations
+                for m in eq.ordered_support
+                if m and all(lab in wall_vars for lab, _ in m)
+            ),
+            None,
+        )
         if iso_witness is not None:
             steps.append(
                 replace(step, restricted_kind="iso", witnesses=(mono_str(iso_witness),))
@@ -436,7 +508,7 @@ def restrict_walk(model: RankTwoModel) -> tuple[WallStep, ...]:
         witnesses: list[str] = []
         for eq in model.equations:
             found = None
-            for m in sorted(eq.support):
+            for m in eq.ordered_support:
                 off = [(lab, e) for lab, e in m if lab not in wall_vars]
                 if (
                     len(off) == 1
@@ -476,13 +548,12 @@ def divisorial_target(model: RankTwoModel, wall: str) -> DivisorialTarget:
     then well-formed.  Absolute determinants make the result independent of
     orientation and grading.
     """
-    groups = _wall_groups(model)
-    index_of = {lab: gi for gi, g in enumerate(groups) for lab in g.labels}
+    _, index_of = model.walls
     wall_gi = index_of[wall]
     beyond = [lab for lab, _ in model.columns if index_of[lab] > wall_gi]
     if len(beyond) != 1:
         raise DegenerateWall(f"wall {wall} does not contract a unique divisor")
-    v = model.column(beyond[0])
+    v = model.column_map()[beyond[0]]
     vals = [
         (lab, abs(det2(col, v))) for lab, col in model.columns if lab != beyond[0]
     ]
@@ -515,7 +586,7 @@ def movable_position(model: RankTwoModel, cls: Vec) -> str:
     """
     if cls == (0, 0):
         raise ZeroClass("the zero class has no cone position")
-    groups = _wall_groups(model)
+    groups, _ = model.walls
     if len(groups) < 3:
         raise DegenerateWall("no movable cone with fewer than three ray directions")
     lo = groups[1].direction

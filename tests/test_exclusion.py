@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from fano2ray.catalog import SOLID_CANDIDATES, family, load_catalog
 from fano2ray.exclusion import (
-    COMPLETE_INTERSECTION_FAMILIES,
     curve_test,
     default_h_degree,
     fibration_witness,
@@ -107,7 +106,7 @@ def test_ci_branch_used_exactly_where_recorded():
             continue
         expected = (
             "complete_intersection"
-            if rec.id in COMPLETE_INTERSECTION_FAMILIES
+            if rec.id in {122, 127, 129, 130}
             else "hypersurface"
         )
         assert w.kind == expected

@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from fano2ray.catalog import family
+from fano2ray import linkengine
+from fano2ray.catalog import family, load_catalog
 from fano2ray.linkengine import (
     FanoModel,
     needs_unprojection,
@@ -10,7 +11,7 @@ from fano2ray.linkengine import (
     unproject,
     verify_tables,
 )
-from fano2ray.singular import blowup_weights, locate
+from fano2ray.singular import blowup_weights, locate, singular_locus
 from fano2ray.toric2ray import build_model, mono, well_form_model
 
 
@@ -203,3 +204,35 @@ def test_verify_tables_idempotent():
     assert first.deviations == second.deviations
     assert first.link_rows == second.link_rows
     assert first.exclusion_rows == second.exclusion_rows
+
+
+def test_verify_tables_builds_each_game_once(monkeypatch):
+    calls = []
+
+    def counting_build_model(*args):
+        calls.append(args)
+        return build_model(*args)
+
+    monkeypatch.setattr(linkengine, "build_model", counting_build_model)
+    verify_tables()
+    # 6 link games and 7 exclusion games; the matrices reuse the link games
+    assert len(calls) == 13
+
+
+def test_game_model_is_well_formed_unprojection_on_every_unprojected_game():
+    unprojected = 0
+    for rec in load_catalog():
+        for entry in singular_locus(rec):
+            for _, tangent in entry.tangent_candidates:
+                trace, _ = run_game(rec, entry, tangent)
+                if not trace.unprojected:
+                    assert trace.game_model == trace.well_formed
+                    continue
+                unprojected += 1
+                raw_pieces = needs_unprojection(trace.raw)[1]
+                assert trace.raw_unprojected == unproject(trace.raw, raw_pieces)
+                assert trace.game_model == well_form_model(trace.raw_unprojected)
+                # unprojecting commutes with well-forming, equations included
+                wf_pieces = needs_unprojection(trace.well_formed)[1]
+                assert trace.game_model == unproject(trace.well_formed, wf_pieces)
+    assert unprojected == 9
