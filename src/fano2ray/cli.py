@@ -469,7 +469,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         status, report = run(command)
     except (KeyError, ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        message = err.args[0] if isinstance(err, KeyError) else err
+        print(f"error: {message}", file=sys.stderr)
         return 1
     sys.stdout.write(serialize(report, command.format))
     return status

@@ -145,9 +145,9 @@ def run_game(
     blow = blowup_weights(record, entry, tangent)
     raw = build_model(record, blow)
     wf = well_form_model(raw)
-    needs, pieces = needs_unprojection(raw)
-    raw_unprojected = unproject(raw, pieces) if needs else None
-    game_model = well_form_model(raw_unprojected) if needs else wf
+    pieces = needs_unprojection(raw)
+    raw_unprojected = unproject(raw, pieces) if pieces else None
+    game_model = well_form_model(raw_unprojected) if pieces else wf
     steps = restrict_walk(game_model)
 
     divisorial = [i for i, s in enumerate(steps) if s.restricted_kind == "divisorial"]

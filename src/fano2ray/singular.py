@@ -254,8 +254,8 @@ def locate(record: FamilyRecord, label: str) -> SingularLocusEntry:
 class BlowupData:
     """Weight data of the Kawamata blow-up at one center with a chosen tangent.
 
-    ``b_weights`` assigns to every non-center variable its blow-up weight:
-    non-tangent locals get the smallest positive integer congruent to
+    ``b`` holds the blow-up weight of every variable ``x0..x4``, 0 at the
+    center: non-tangent locals get the smallest positive integer congruent to
     ``multiplier * weight`` mod ``r``; the tangent variable gets the order of
     the implicit solution along the exceptional divisor, which may equal or
     exceed ``r``.  ``excluded`` lists the support monomials killed by the
@@ -269,8 +269,7 @@ class BlowupData:
 
     center_entry: SingularLocusEntry
     tangent: int
-    b_weights: tuple[tuple[int, int], ...]
-    u_weight: tuple[int, int]
+    b: tuple[int, ...]
     singularity: QuotientSingularity
     excluded: frozenset[Monomial]
     r: int
@@ -279,14 +278,6 @@ class BlowupData:
     @property
     def multiplier(self) -> int:
         return self.singularity.multiplier
-
-    def b(self, index: int) -> int:
-        for i, b in self.b_weights:
-            if i == index:
-                return b
-        if index == self.center_index:
-            return 0
-        raise KeyError(index)
 
 
 def _variable_index(tangent: int | str) -> int:
@@ -357,8 +348,7 @@ def blowup_weights(
     return BlowupData(
         center_entry=entry,
         tangent=tangent,
-        b_weights=tuple(sorted(b.items())),
-        u_weight=(0, -r),
+        b=tuple(b.get(l, 0) for l in range(5)),
         singularity=sing,
         excluded=frozenset(excluded),
         r=r,

@@ -15,8 +15,11 @@ invariant under regradings of positive determinant; the bidegrees themselves
 are covariant, so numeric examples are always quoted together with the
 grading they were computed in.
 
-Bidegrees are plain integer pairs ``(d1, d2)``: the degree of a monomial
-against the two rows of the weight matrix.
+A transformed monomial is a fixed-length exponent vector over
+:data:`MONO_VARIABLES` (``u``, ``y0..y4`` and the unprojection variable
+``y``), indexed directly by position.  Bidegrees are plain integer pairs
+``(d1, d2)``: the degree of a monomial against the two rows of the weight
+matrix.
 
 When the equation lies in the irrelevant ideal, ``unproject`` adjoins a new
 variable, turning the hypersurface into a codimension-2 complete
@@ -30,15 +33,16 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from math import gcd
+from operator import mul
 
 from .catalog import FamilyRecord, well_form_weights
 from .singular import BlowupData
 
 Vec = tuple[int, int]
-#: A transformed monomial: ``((label, exponent), ...)`` sorted by variable.
-Mono = tuple[tuple[str, int], ...]
-
-_VAR_ORDER = {"u": 0, "y0": 1, "y1": 2, "y2": 3, "y3": 4, "y4": 5, "y": 6}
+#: The variables of a transformed monomial, in exponent-vector order.
+MONO_VARIABLES = ("u", "y0", "y1", "y2", "y3", "y4", "y")
+#: A transformed monomial: one exponent per entry of :data:`MONO_VARIABLES`.
+Mono = tuple[int, ...]
 
 
 class NonHomogeneous(ValueError):
@@ -68,19 +72,15 @@ def _primitive(v: Vec) -> Vec:
     return (v[0] // g, v[1] // g)
 
 
-def mono(items) -> Mono:
-    """Canonical form of a transformed monomial (zero exponents dropped)."""
-    pairs = [(lab, e) for lab, e in items if e != 0]
-    for lab, e in pairs:
-        if lab not in _VAR_ORDER or e < 0:
-            raise ValueError(f"bad monomial entry {(lab, e)}")
-    return tuple(sorted(pairs, key=lambda p: _VAR_ORDER[p[0]]))
+def _factors(m: Mono) -> tuple[tuple[str, int], ...]:
+    return tuple((lab, e) for lab, e in zip(MONO_VARIABLES, m) if e)
 
 
 def mono_str(m: Mono) -> str:
-    if not m:
+    factors = _factors(m)
+    if not factors:
         return "1"
-    return "*".join(lab if e == 1 else f"{lab}^{e}" for lab, e in m)
+    return "*".join(lab if e == 1 else f"{lab}^{e}" for lab, e in factors)
 
 
 @dataclass(frozen=True)
@@ -92,8 +92,9 @@ class TransformedEquation:
 
     @cached_property
     def ordered_support(self) -> tuple[Mono, ...]:
-        """The support in increasing monomial order, sorted once."""
-        return tuple(sorted(self.support))
+        """The support sorted once, in lexicographic order of the labelled
+        factor sequences (the order witnesses are picked in)."""
+        return tuple(sorted(self.support, key=_factors))
 
 
 @dataclass(frozen=True)
@@ -143,23 +144,15 @@ class RankTwoModel:
         return walls, {lab: gi for gi, w in enumerate(walls) for lab in w.labels}
 
 
-def _bidegree(m: Mono, cols: dict[str, Vec]) -> Vec:
-    d1 = d2 = 0
-    for lab, e in m:
-        v = cols[lab]
-        d1 += e * v[0]
-        d2 += e * v[1]
-    return (d1, d2)
-
-
 def _make_equation(support, cols: dict[str, Vec]) -> TransformedEquation:
     support = frozenset(support)
     if not support:
         raise NonHomogeneous("empty equation support")
-    degrees = {_bidegree(m, cols) for m in support}
+    row1, row2 = zip(*(cols.get(lab, (0, 0)) for lab in MONO_VARIABLES))
+    degrees = {(sum(map(mul, m, row1)), sum(map(mul, m, row2))) for m in support}
     if len(degrees) != 1:
         raise NonHomogeneous(f"support carries multiple bidegrees {sorted(degrees)}")
-    if all(dict(m).get("u", 0) > 0 for m in support):
+    if all(m[0] > 0 for m in support):
         raise NonHomogeneous("u divides every monomial (not a proper transform)")
     return TransformedEquation(support=support, bidegree=degrees.pop())
 
@@ -204,22 +197,19 @@ def build_model(record: FamilyRecord, blow: BlowupData) -> RankTwoModel:
     """Raw rank-2 model of the blow-up: ambient weights over blow-up weights.
 
     Row one holds the ambient weights (0 for ``u``); row two holds ``-r`` for
-    ``u``, 0 for the center variable and the blow-up weights elsewhere.  The
+    ``u`` and the blow-up weights (0 for the center variable) elsewhere.  The
     equation is the proper transform of the working support (excluded
     monomials dropped): each monomial acquires the ``u``-exponent
     ``(cost - mu) / r`` where ``cost = sum(e_i b_i)`` and ``mu`` is the
     minimal cost over the support.
     """
-    w = record.weights
-    c = blow.center_index
-    r = blow.r
-    cols = [("u", (0, -r)), (f"y{c}", (w[c], 0))]
-    cols += [(f"y{i}", (w[i], b)) for i, b in blow.b_weights]
-    columns = _sort_columns(cols)
-    colmap = dict(columns)
+    w, b, r = record.weights, blow.b, blow.r
+    columns = _sort_columns(
+        [("u", (0, -r))] + [(f"y{i}", (w[i], b[i])) for i in range(len(w))]
+    )
 
     working = record.support() - blow.excluded
-    cost = {m: sum(e * blow.b(i) for i, e in enumerate(m)) for m in working}
+    cost = {m: sum(map(mul, m, b)) for m in working}
     mu = min(cost.values())
     support = []
     for m, k in cost.items():
@@ -227,11 +217,9 @@ def build_model(record: FamilyRecord, blow: BlowupData) -> RankTwoModel:
             raise NonHomogeneous(
                 f"monomial cost {k} not congruent to the multiplicity {mu} mod {r}"
             )
-        support.append(
-            mono([("u", (k - mu) // r)] + [(f"y{i}", e) for i, e in enumerate(m)])
-        )
-    equation = _make_equation(support, colmap)
-    return RankTwoModel(columns=columns, equations=(equation,), center=f"y{c}")
+        support.append(((k - mu) // r, *m, 0))
+    equation = _make_equation(support, dict(columns))
+    return RankTwoModel(columns=columns, equations=(equation,), center=f"y{blow.center_index}")
 
 
 def _hnf_basis(vectors: list[Vec]) -> tuple[int, int, int]:
@@ -321,49 +309,42 @@ class UnprojectionData:
     computed in.  Eliminating ``y`` from the two equations recovers ``g``.
     """
 
-    piece_u: frozenset
-    piece_center: frozenset
+    piece_u: frozenset[Mono]
+    piece_center: frozenset[Mono]
     weight: Vec
-    label: str = "y"
 
 
-def _strip(m: Mono, lab: str) -> Mono:
-    d = dict(m)
-    if d.get(lab, 0) < 1:
-        raise ValueError(f"{lab} does not divide {m}")
-    d[lab] -= 1
-    return mono(d.items())
+def needs_unprojection(model: RankTwoModel) -> UnprojectionData | None:
+    """The split of the equation when it lies in the irrelevant ideal.
 
-
-def needs_unprojection(model: RankTwoModel) -> tuple[bool, UnprojectionData | None]:
-    """Whether the equation lies in the irrelevant ideal, with the pieces.
-
-    True exactly when every support monomial is divisible both by a variable
-    of the low side ``(u, center)`` and by one of the remaining variables;
-    the two pieces (u-multiples stripped of one ``u``, the rest stripped of
-    one center variable) must both be nonempty.
+    The equation lies there exactly when every support monomial is divisible
+    both by a variable of the low side ``(u, center)`` and by one of the
+    remaining variables, and the two pieces (u-multiples stripped of one
+    ``u``, the rest stripped of one center variable) are both nonempty;
+    otherwise the result is ``None``.
     """
     if len(model.equations) != 1:
         raise ValueError("unprojection test expects a single-equation model")
     eq = model.equations[0]
-    side = {"u", model.center}
-    for m in eq.support:
-        labs = {lab for lab, _ in m}
-        if not labs & side or not labs - side:
-            return False, None
+    c = MONO_VARIABLES.index(model.center)
+    rest = [i for i in range(1, len(MONO_VARIABLES)) if i != c]
     piece_u = set()
     piece_center = set()
     for m in eq.support:
-        if dict(m).get("u", 0) >= 1:
-            piece_u.add(_strip(m, "u"))
+        if not any(m[i] for i in rest):
+            return None
+        if m[0]:
+            piece_u.add((m[0] - 1, *m[1:]))
+        elif m[c]:
+            piece_center.add((*m[:c], m[c] - 1, *m[c + 1 :]))
         else:
-            piece_center.add(_strip(m, model.center))
+            return None
     if not piece_u or not piece_center:
-        return False, None
+        return None
     cols = model.column_map()
-    u, c = cols["u"], cols[model.center]
-    weight = (eq.bidegree[0] - u[0] - c[0], eq.bidegree[1] - u[1] - c[1])
-    return True, UnprojectionData(
+    u, center = cols["u"], cols[model.center]
+    weight = (eq.bidegree[0] - u[0] - center[0], eq.bidegree[1] - u[1] - center[1])
+    return UnprojectionData(
         piece_u=frozenset(piece_u), piece_center=frozenset(piece_center), weight=weight
     )
 
@@ -373,11 +354,12 @@ def unproject(model: RankTwoModel, pieces: UnprojectionData) -> RankTwoModel:
     ``y*y_c + A`` and ``-u*y + B`` (supports only; signs are immaterial)."""
     if "y" in model.column_map():
         raise ValueError("model already carries an unprojection variable")
-    columns = _sort_columns(list(model.columns) + [(pieces.label, pieces.weight)])
+    columns = _sort_columns(list(model.columns) + [("y", pieces.weight)])
     colmap = dict(columns)
-    c = model.center
-    eq1 = {mono([(pieces.label, 1), (c, 1)])} | set(pieces.piece_u)
-    eq2 = {mono([("u", 1), (pieces.label, 1)])} | set(pieces.piece_center)
+    y_center = tuple(int(lab in ("y", model.center)) for lab in MONO_VARIABLES)
+    u_y = tuple(int(lab in ("u", "y")) for lab in MONO_VARIABLES)
+    eq1 = {y_center} | pieces.piece_u
+    eq2 = {u_y} | pieces.piece_center
     equations = (_make_equation(eq1, colmap), _make_equation(eq2, colmap))
     return RankTwoModel(columns=columns, equations=equations, center=model.center)
 
@@ -479,7 +461,6 @@ def restrict_walk(model: RankTwoModel) -> tuple[WallStep, ...]:
     _, index_of = model.walls
     steps = []
     for step in ambient_walk(model):
-        wall_vars = set(step.wall_variables)
         wall_gi = index_of[step.wall]
         if step.ambient_kind == "contraction":
             steps.append(
@@ -490,12 +471,15 @@ def restrict_walk(model: RankTwoModel) -> tuple[WallStep, ...]:
                 )
             )
             continue
+        off_wall = [
+            i for i, lab in enumerate(MONO_VARIABLES) if lab not in step.wall_variables
+        ]
         iso_witness = next(
             (
                 m
                 for eq in model.equations
                 for m in eq.ordered_support
-                if m and all(lab in wall_vars for lab, _ in m)
+                if any(m) and not any(m[i] for i in off_wall)
             ),
             None,
         )
@@ -509,14 +493,12 @@ def restrict_walk(model: RankTwoModel) -> tuple[WallStep, ...]:
         for eq in model.equations:
             found = None
             for m in eq.ordered_support:
-                off = [(lab, e) for lab, e in m if lab not in wall_vars]
-                if (
-                    len(off) == 1
-                    and off[0][1] == 1
-                    and index_of[off[0][0]] < wall_gi
-                    and off[0][0] not in eliminated
-                ):
-                    found = (off[0][0], m)
+                off = [i for i in off_wall if m[i]]
+                if len(off) != 1 or m[off[0]] != 1:
+                    continue
+                lab = MONO_VARIABLES[off[0]]
+                if index_of[lab] < wall_gi and lab not in eliminated:
+                    found = (lab, m)
                     break
             if found is None:
                 eliminated = []

@@ -23,6 +23,7 @@ from fano2ray.exclusion import fibration_witness, smooth_point_test
 from fano2ray.linkengine import run_game, verify_tables
 from fano2ray.singular import blowup_weights, locate, normalize_terminal
 from fano2ray.toric2ray import (
+    MONO_VARIABLES,
     ambient_walk,
     build_model,
     minus_k,
@@ -128,7 +129,8 @@ def test_criterion_07_bihomogeneity_and_u_column():
             for eq in model.equations:
                 for m in eq.support:
                     deg = tuple(
-                        sum(e * cols[lab][i] for lab, e in m) for i in range(2)
+                        sum(e * cols[lab][i] for lab, e in zip(MONO_VARIABLES, m) if e)
+                        for i in range(2)
                     )
                     assert deg == eq.bidegree
     deviations = verify_tables().deviations

@@ -108,6 +108,21 @@ def test_main_bad_family(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["game", "100", "--point", "p9"], "family 100 has no singular site 'p9'"),
+        (["analyze", "131"], "no family 131; ids run 96..130"),
+    ],
+    ids=["unknown-site", "unknown-family"],
+)
+def test_main_prints_lookup_errors_unquoted(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_verify_markdown_sections():
     _, report = run(Command(verb="verify"))
     md = serialize(report, "markdown")

@@ -12,7 +12,7 @@ from fano2ray.linkengine import (
     verify_tables,
 )
 from fano2ray.singular import blowup_weights, locate, singular_locus
-from fano2ray.toric2ray import build_model, mono, well_form_model
+from fano2ray.toric2ray import MONO_VARIABLES, build_model, well_form_model
 
 
 def raw_model(fid, point, tangent):
@@ -20,36 +20,39 @@ def raw_model(fid, point, tangent):
     return build_model(rec, blowup_weights(rec, locate(rec, point), tangent))
 
 
+def vec(**exponents):
+    return tuple(exponents.get(lab, 0) for lab in MONO_VARIABLES)
+
+
 def test_needs_unprojection_110_p2():
     model = raw_model(110, "p2", "x0")
-    needed, pieces = needs_unprojection(model)
-    assert needed
+    pieces = needs_unprojection(model)
+    assert pieces is not None
     # g = u*(y1^7 + u*y3^3 + ...) + y2*(y4^2 + y2^3*y0 + ...)
-    assert mono([("y1", 7)]) in pieces.piece_u
-    assert mono([("u", 1), ("y3", 3)]) in pieces.piece_u
-    assert mono([("y4", 2)]) in pieces.piece_center
-    assert mono([("y2", 3), ("y0", 1)]) in pieces.piece_center
+    assert vec(y1=7) in pieces.piece_u
+    assert vec(u=1, y3=3) in pieces.piece_u
+    assert vec(y4=2) in pieces.piece_center
+    assert vec(y2=3, y0=1) in pieces.piece_center
     assert pieces.weight == (16, 7)
 
 
 def test_needs_unprojection_false_for_100():
     model = raw_model(100, "p3", "x2")
-    needed, pieces = needs_unprojection(model)
-    assert not needed and pieces is None
+    assert needs_unprojection(model) is None
     # y4^2 is in neither factor of the irrelevant ideal
-    assert mono([("y4", 2)]) in model.equations[0].support
+    assert vec(y4=2) in model.equations[0].support
 
 
 def test_needs_unprojection_false_on_pure_wall_power():
     # a pure power of a variable outside (u, center) escapes both factors
     model = raw_model(110, "p4", "x2")
-    assert mono([("y1", 7)]) in model.equations[0].support
-    assert needs_unprojection(model) == (False, None)
+    assert vec(y1=7) in model.equations[0].support
+    assert needs_unprojection(model) is None
 
 
 def test_unproject_110_p2_weights_and_degrees():
     model = raw_model(110, "p2", "x0")
-    _, pieces = needs_unprojection(model)
+    pieces = needs_unprojection(model)
     unprojected = unproject(model, pieces)
     assert unprojected.column_map()["y"] == (16, 7)
     assert unprojected.labels == ("u", "y2", "y4", "y1", "y", "y3", "y0")
@@ -60,12 +63,11 @@ def test_unproject_elimination_roundtrip():
     # substituting y = B/u into y*y_c + A recovers g up to the factor u:
     # supports satisfy  y_c*B  union  u*A  ==  support(g)
     model = raw_model(110, "p2", "x0")
-    _, pieces = needs_unprojection(model)
+    pieces = needs_unprojection(model)
 
     def times(m, lab):
-        d = dict(m)
-        d[lab] = d.get(lab, 0) + 1
-        return mono(d.items())
+        i = MONO_VARIABLES.index(lab)
+        return (*m[:i], m[i] + 1, *m[i + 1 :])
 
     rebuilt = {times(m, "u") for m in pieces.piece_u} | {
         times(m, model.center) for m in pieces.piece_center
@@ -229,10 +231,10 @@ def test_game_model_is_well_formed_unprojection_on_every_unprojected_game():
                     assert trace.game_model == trace.well_formed
                     continue
                 unprojected += 1
-                raw_pieces = needs_unprojection(trace.raw)[1]
+                raw_pieces = needs_unprojection(trace.raw)
                 assert trace.raw_unprojected == unproject(trace.raw, raw_pieces)
                 assert trace.game_model == well_form_model(trace.raw_unprojected)
                 # unprojecting commutes with well-forming, equations included
-                wf_pieces = needs_unprojection(trace.well_formed)[1]
+                wf_pieces = needs_unprojection(trace.well_formed)
                 assert trace.game_model == unproject(trace.well_formed, wf_pieces)
     assert unprojected == 9

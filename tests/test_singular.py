@@ -130,22 +130,22 @@ def test_singular_locus_smooth_family():
 def test_blowup_weights_100_p3():
     rec = family(100)
     blow = blowup_weights(rec, locate(rec, "p3"), "x2")
-    assert dict(blow.b_weights) == {0: 3, 1: 1, 4: 2, 2: 4}
-    assert blow.u_weight == (0, -5)
+    assert blow.b == (3, 1, 4, 0, 2)
+    assert blow.r == 5
     assert blow.multiplier == 3
     # tangent weight agrees with the congruence value 3*3 mod 5 and with the
     # doubled weight of x4 (the monomial x4^2 realizes the minimum)
-    assert blow.b(2) == (3 * 3) % 5 == 2 * blow.b(4)
+    assert blow.b[2] == (3 * 3) % 5 == 2 * blow.b[4]
 
 
 def test_blowup_weights_110():
     rec = family(110)
     p4 = blowup_weights(rec, locate(rec, "p4"), "x2")
-    assert dict(p4.b_weights) == {0: 3, 1: 1, 3: 5, 2: 7}
-    assert p4.u_weight == (0, -8)
+    assert p4.b == (3, 1, 7, 5, 0)
+    assert p4.r == 8
     p2 = blowup_weights(rec, locate(rec, "p2"), "x0")
-    assert dict(p2.b_weights) == {1: 1, 3: 4, 4: 1, 0: 2}
-    assert p2.u_weight == (0, -5)
+    assert p2.b == (2, 1, 0, 4, 1)
+    assert p2.r == 5
 
 
 def brute_tangent_weight(rec, center, tangent, b):
@@ -185,10 +185,13 @@ def test_tangent_weight_against_brute_force(fid, point, tangent):
     rec = family(fid)
     entry = locate(rec, point)
     blow = blowup_weights(rec, entry, tangent)
-    b = {i: v for i, v in blow.b_weights if i != tangent}
-    assert blow.b(tangent) == brute_tangent_weight(rec, entry.center, tangent, b)
+    b = {i: v for i, v in enumerate(blow.b) if i != tangent}
+    assert blow.b[tangent] == brute_tangent_weight(rec, entry.center, tangent, b)
+    assert blow.b[entry.center] == 0
     # congruence invariant for every weight
-    for i, v in blow.b_weights:
+    for i, v in enumerate(blow.b):
+        if i == entry.center:
+            continue
         assert (v - blow.multiplier * rec.weights[i]) % blow.r == 0
         if i != tangent:
             assert 1 <= v <= blow.r - 1
@@ -208,7 +211,7 @@ def test_blowup_weights_103_cube_point_all_games():
     congruence = {0: 1, 2: 1, 3: 1, 4: 2}
     for tangent in (0, 2, 3):
         blow = blowup_weights(rec, entry, tangent)
-        b = dict(blow.b_weights)
+        b = blow.b
         assert b[tangent] == 4
         for i, v in congruence.items():
             if i != tangent:

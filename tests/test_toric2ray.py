@@ -10,6 +10,7 @@ from fano2ray.catalog import family
 from fano2ray.linkengine import needs_unprojection, unproject
 from fano2ray.singular import blowup_weights, locate
 from fano2ray.toric2ray import (
+    MONO_VARIABLES,
     DegenerateWall,
     ZeroClass,
     ambient_walk,
@@ -95,9 +96,9 @@ def test_well_form_preserves_order_and_equations(raw110p4):
 
 def test_transform_is_proper(raw100):
     # some monomial is untouched by the exceptional coordinate
-    assert any(dict(m).get("u", 0) == 0 for m in raw100.equations[0].support)
-    # the key monomial x3^3*x2 survives as y3^3*y2
-    assert (("y2", 1), ("y3", 3)) in raw100.equations[0].support
+    assert any(m[MONO_VARIABLES.index("u")] == 0 for m in raw100.equations[0].support)
+    # the key monomial x3^3*x2 survives as y3^3*y2 (exponents of u, y0..y4, y)
+    assert (0, 0, 0, 1, 3, 0, 0) in raw100.equations[0].support
 
 
 def test_ambient_walk_100(raw100):
@@ -157,8 +158,8 @@ def test_restrict_walk_110_p4(raw110p4):
 
 def test_restrict_walk_110_p2_unprojected(raw110p2):
     wf = well_form_model(raw110p2)
-    needed, pieces = needs_unprojection(wf)
-    assert needed
+    pieces = needs_unprojection(wf)
+    assert pieces is not None
     model = unproject(wf, pieces)
     steps = restrict_walk(model)
     assert [s.restricted_kind for s in steps] == ["iso", "iso", "flip", "divisorial"]
@@ -172,7 +173,7 @@ def test_divisorial_target_examples(raw100, raw110p4, raw110p2):
     t110 = divisorial_target(well_form_model(raw110p4), "y2")
     assert (t110.weights, t110.degrees) == ((1, 1, 1, 2, 3), (7,))
     wf = well_form_model(raw110p2)
-    model = unproject(wf, needs_unprojection(wf)[1])
+    model = unproject(wf, needs_unprojection(wf))
     t = divisorial_target(model, "y3")
     assert (t.weights, t.degrees) == ((1, 1, 2, 2, 3, 5), (6, 7))
 
@@ -249,7 +250,8 @@ def test_bihomogeneity_of_all_game_equations():
             for eq in stage.equations:
                 degrees = {
                     tuple(
-                        map(sum, zip(*(tuple(e * c for c in cols[lab]) for lab, e in m)))
+                        sum(e * cols[lab][i] for lab, e in zip(MONO_VARIABLES, m) if e)
+                        for i in range(2)
                     )
                     for m in eq.support
                 }
