@@ -18,6 +18,7 @@ overridden with the ``FANO2RAY_DATA`` environment variable.
 
 from __future__ import annotations
 
+import operator
 import os
 import re
 from dataclasses import dataclass
@@ -61,27 +62,42 @@ def fano_index(weights: Weights, degree: int) -> int:
 
 @lru_cache(maxsize=None)
 def _support(weights: Weights, degree: int) -> frozenset[Monomial]:
-    if degree < 0:
-        return frozenset()
     if not weights:
         return frozenset({()}) if degree == 0 else frozenset()
-    head, tail = weights[0], weights[1:]
-    out: set[Monomial] = set()
-    for e in range(degree // head + 1):
-        for rest in _support(tail, degree - e * head):
-            out.add((e,) + rest)
-    return frozenset(out)
+    if degree < 0:
+        return frozenset()
+    n = len(weights)
+    light = min(range(n), key=weights.__getitem__)
+    rest = sorted((i for i in range(n) if i != light), key=weights.__getitem__, reverse=True)
+    least = weights[light]
+    # vectors are built in the order (*rest, light); itemgetter puts them back
+    # in positional order (with one index it would return the bare entry)
+    inverse = sorted(range(n), key=(*rest, light).__getitem__)
+    positional = operator.itemgetter(*inverse) if n > 1 else tuple
+    partial = [(degree, ())]
+    for i in rest:
+        w = weights[i]
+        partial = [(r - e * w, exps + (e,)) for r, exps in partial for e in range(r // w + 1)]
+    return frozenset(positional(exps + (r // least,)) for r, exps in partial if r % least == 0)
 
 
 def monomial_support(weights: Weights, degree: int) -> frozenset[Monomial]:
     """All exponent vectors ``e`` with ``sum(e_i * weights_i) == degree``.
 
-    The empty set is a valid result (no monomials of that weighted degree).
+    The exponents of all variables but one of least weight are enumerated,
+    heaviest weight first, carrying the residual degree; the exponent of the
+    lightest variable is then forced, and a partial vector is kept only when
+    its residual is divisible by the least weight.  Only whole supports are
+    cached, keyed by ``(weights, degree)``.
+
+    Inputs must be integers (``operator.index``): a float or a string raises
+    :class:`TypeError`, a non-positive weight :class:`ValueError`.  The empty
+    set is a valid result (no monomials of that weighted degree).
     """
-    weights = tuple(int(w) for w in weights)
+    weights = tuple(map(operator.index, weights))
     if any(w <= 0 for w in weights):
         raise ValueError("weights must be positive")
-    return _support(weights, int(degree))
+    return _support(weights, operator.index(degree))
 
 
 def weighted_degree(weights: Weights, monomial: Monomial) -> int:

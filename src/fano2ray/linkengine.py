@@ -27,6 +27,7 @@ from .catalog import (
     Monomial,
     ambient_monomial_str,
     load_catalog,
+    monomial_support,
     parse_ambient_monomial,
     weighted_degree,
 )
@@ -273,10 +274,10 @@ def _check_keys(record, entry, exp, report: Report) -> None:
     candidates = {key for key, _ in entry.tangent_candidates}
     if isinstance(entry.site, Stratum):
         i, j = entry.site.variables
+        w = record.weights
         candidates |= {
-            m
-            for m in record.support()
-            if all(e == 0 for l, e in enumerate(m) if l not in (i, j))
+            tuple(a if l == i else (b if l == j else 0) for l in range(5))
+            for a, b in monomial_support((w[i], w[j]), record.degree)
         }
     center = entry.center if entry.center is not None else entry.site.variables[0]
     for text in exp.keys:

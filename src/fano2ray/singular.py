@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .catalog import FamilyRecord, Monomial
+from .catalog import FamilyRecord, Monomial, monomial_support
 
 
 class NotTerminal(ValueError):
@@ -180,17 +180,16 @@ def _vertex_entry(record: FamilyRecord, i: int) -> SingularLocusEntry | None:
 def _stratum_entry(record: FamilyRecord, i: int, j: int) -> SingularLocusEntry | None:
     w, d = record.weights, record.degree
     r = gcd(w[i], w[j])
-    restricted = [
-        m for m in record.support() if all(e == 0 for l, e in enumerate(m) if l not in (i, j))
-    ]
+    # exponent pairs (e_i, e_j) of the support restricted to the stratum;
+    # e_i determines e_j, so tuple order is order by e_i
+    restricted = monomial_support((w[i], w[j]), d)
     if not restricted:
         raise NotTerminal(
             f"family {record.id}: stratum p{i}p{j} is contained in the member "
             "(one-dimensional singular locus, unsupported)"
         )
-    top = max(restricted, key=lambda m: m[i])
-    bot = min(restricted, key=lambda m: m[i])
-    count = gcd(top[i] - bot[i], top[j] - bot[j])
+    top, bot = max(restricted), min(restricted)
+    count = gcd(top[0] - bot[0], top[1] - bot[1])
     if count == 0:
         return None
     if w[j] % w[i] == 0:

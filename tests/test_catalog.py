@@ -4,9 +4,10 @@ from fractions import Fraction
 from math import gcd, prod
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from fano2ray import catalog
 from fano2ray.catalog import (
     SOLID_CANDIDATES,
     anticanonical_cube,
@@ -18,6 +19,18 @@ from fano2ray.catalog import (
     weighted_degree,
     well_form_weights,
 )
+
+
+def coin_change_count(weights, degree):
+    # number of exponent vectors of the given weighted degree, by the
+    # coin-change recurrence over the variables in order
+    if degree < 0:
+        return 0
+    ways = [1] + [0] * degree
+    for w in weights:
+        for total in range(w, degree + 1):
+            ways[total] += ways[total - w]
+    return ways[degree]
 
 
 def brute_support(weights, degree):
@@ -99,6 +112,49 @@ def test_monomial_support_counts_and_members():
 def test_monomial_support_against_brute_force(fid):
     r = family(fid)
     assert set(monomial_support(r.weights, r.degree)) == brute_support(r.weights, r.degree)
+
+
+@given(
+    st.lists(st.integers(min_value=1, max_value=12), max_size=6),
+    st.integers(min_value=-2, max_value=60),
+)
+@example([], 0)
+@example([], 3)
+@example([4], 8)
+@example([3, 1, 2, 1], 9)  # the least weight is tied and not first
+@example([5, 7, 2, 9, 2, 3], 41)
+def test_monomial_support_matches_coin_change_count(weights, degree):
+    count = coin_change_count(weights, degree)
+    assume(count <= 3000)
+    sup = monomial_support(weights, degree)
+    for mono in sup:
+        assert len(mono) == len(weights)
+        assert all(e >= 0 for e in mono)
+        assert weighted_degree(weights, mono) == degree
+    # a frozenset holds no duplicates; so compare its size with the count
+    assert len(sup) == count
+
+
+def test_monomial_support_rejects_non_integers():
+    # int() used to truncate: P(1,2.5) got the support of P(1,2), and
+    # degree 4.9 the degree-4 support
+    with pytest.raises(TypeError):
+        monomial_support((1, 2.5), 5)
+    with pytest.raises(TypeError):
+        monomial_support((1, 2), 4.9)
+    with pytest.raises(TypeError):
+        monomial_support((1, "2"), 4)
+    with pytest.raises(ValueError):
+        monomial_support((1, 0), 4)
+    with pytest.raises(ValueError):
+        monomial_support((-1, 2), 4)
+
+
+def test_support_cache_holds_whole_supports_only():
+    rec = family(110)
+    catalog._support.cache_clear()
+    monomial_support(rec.weights, rec.degree)
+    assert catalog._support.cache_info().currsize == 1
 
 
 def test_well_form_weights_examples():
