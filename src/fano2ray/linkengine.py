@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .catalog import (
-    SOLID_CANDIDATES,
     FamilyRecord,
     Monomial,
     ambient_monomial_str,
@@ -31,7 +30,7 @@ from .catalog import (
     parse_ambient_monomial,
     weighted_degree,
 )
-from .exclusion import smooth_point_test
+from .exclusion import fibration_witness, smooth_point_test
 from .singular import (
     BlowupData,
     SingularLocusEntry,
@@ -48,6 +47,7 @@ from .toric2ray import (
     Vec,
     WallStep,
     build_model,
+    end_model_str,
     match_recorded_grading,
     minus_k,
     movable_position,
@@ -85,9 +85,7 @@ class FanoModel:
             )
 
     def __str__(self) -> str:
-        degs = ",".join(map(str, self.degrees))
-        ws = ",".join(map(str, self.weights))
-        return f"Z_{{{degs}}} ⊂ P({ws})"
+        return end_model_str(self.weights, self.degrees)
 
 
 @dataclass(frozen=True)
@@ -308,9 +306,7 @@ def _check_links(records, games: dict, report: Report) -> None:
             trace, outcome = _replay_game(games, record, exp.point)
             target = trace.final_target
             computed = str(target) if target else "(no divisorial contraction)"
-            degs = ",".join(map(str, sorted(exp.target_degrees)))
-            ws = ",".join(map(str, exp.target_weights))
-            expected = f"Z_{{{degs}}} ⊂ P({ws})"
+            expected = end_model_str(exp.target_weights, sorted(exp.target_degrees))
             matched = (
                 outcome.kind == "elementary_link"
                 and target is not None
@@ -489,7 +485,8 @@ def verify_tables() -> Report:
     _check_links(records, games, report)
     _check_exclusions(records, games, report)
     _check_matrices(records, games, report)
-    for rep in (smooth_point_test(r) for r in records if r.id in SOLID_CANDIDATES):
+    # a family with a fibration witness is not solid: no smooth-point exclusion
+    for rep in (smooth_point_test(r) for r in records if fibration_witness(r) is None):
         if not rep.certified:
             report.add_deviation(
                 "smooth_point_bound",

@@ -13,7 +13,9 @@ Everything is exact integer arithmetic.  Local weights, divisorial targets
 and the position of a divisor class relative to the movable cone are all
 invariant under regradings of positive determinant; the bidegrees themselves
 are covariant, so numeric examples are always quoted together with the
-grading they were computed in.
+grading they were computed in.  Every change of grading is one integral map
+of the columns and the equation bidegrees alike (a bidegree is an integer
+combination of columns): bidegrees are mapped, never recomputed.
 
 A transformed monomial is a fixed-length exponent vector over
 :data:`MONO_VARIABLES` (``u``, ``y0..y4`` and the unprojection variable
@@ -24,14 +26,15 @@ matrix.
 When the equation lies in the irrelevant ideal, ``unproject`` adjoins a new
 variable, turning the hypersurface into a codimension-2 complete
 intersection.  The monomial format, the column order and the construction of
-equations are private to this module; other modules use the functions here.
+equations (only in ``build_model`` and ``unproject``, where supports are
+made) are private to this module; other modules use the functions here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import cached_property, cmp_to_key
+from itertools import combinations
 from math import gcd
 from operator import mul
 
@@ -260,39 +263,50 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, s, t
 
 
+def _regraded(model: RankTwoModel, matrix: tuple[Vec, Vec], den: int = 1) -> RankTwoModel:
+    """The model with every column and equation bidegree mapped by
+    ``matrix / den``; supports are kept.  Raises :class:`LatticeError` when
+    an image is not integral."""
+    (p, q), (s, t) = matrix
+
+    def image(v: Vec) -> Vec:
+        x, rx = divmod(p * v[0] + q * v[1], den)
+        y, ry = divmod(s * v[0] + t * v[1], den)
+        if rx or ry:
+            raise LatticeError(f"regrading is not integral on {v}")
+        return (x, y)
+
+    return RankTwoModel(
+        columns=tuple((lab, image(v)) for lab, v in model.columns),
+        equations=tuple(
+            TransformedEquation(support=eq.support, bidegree=image(eq.bidegree))
+            for eq in model.equations
+        ),
+        center=model.center,
+    )
+
+
 def well_form_model(model: RankTwoModel) -> RankTwoModel:
     """Re-grade so that the columns span the full lattice (minor gcd one).
 
-    The columns are rewritten in the Hermite basis of the lattice they span:
-    the basis vector along the center ray becomes ``(1, 0)``-directed and the
+    The columns are rewritten in the Hermite basis ``(A, 0), (B, C)`` of the
+    lattice they span, i.e. mapped by ``((C, -B), (0, A)) / (A*C)``: the
+    basis vector along the center ray becomes ``(1, 0)``-directed and the
     transformation has positive determinant, so the anticlockwise order is
-    untouched.  Equations keep their supports and acquire the regraded
-    bidegrees.
+    untouched.  Equations keep their supports; their bidegrees are mapped by
+    the same matrix.
     """
     a, bx, by = _hnf_basis([v for _, v in model.columns])
-    new_cols = []
-    for lab, (x, y) in model.columns:
-        if y % by != 0 or (x - bx * (y // by)) % a != 0:
-            raise LatticeError("column outside the computed lattice basis")
-        t = y // by
-        new_cols.append((lab, ((x - bx * t) // a, t)))
-    columns = tuple(new_cols)
-    colmap = dict(columns)
-    equations = tuple(_make_equation(eq.support, colmap) for eq in model.equations)
-    return RankTwoModel(columns=columns, equations=equations, center=model.center)
+    return _regraded(model, ((by, -bx), (0, a)), a * by)
 
 
-def regrade(model: RankTwoModel, matrix: tuple[tuple[int, int], tuple[int, int]]) -> RankTwoModel:
-    """Apply a unimodular row transformation of positive determinant."""
+def regrade(model: RankTwoModel, matrix: tuple[Vec, Vec]) -> RankTwoModel:
+    """Apply a unimodular row transformation of positive determinant to the
+    columns and the equation bidegrees."""
     (p, q), (s, t) = matrix
     if p * t - q * s != 1:
         raise LatticeError("regrading matrix must have determinant one")
-    columns = tuple(
-        (lab, (p * x + q * y, s * x + t * y)) for lab, (x, y) in model.columns
-    )
-    colmap = dict(columns)
-    equations = tuple(_make_equation(eq.support, colmap) for eq in model.equations)
-    return RankTwoModel(columns=columns, equations=equations, center=model.center)
+    return _regraded(model, matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +382,11 @@ def unproject(model: RankTwoModel, pieces: UnprojectionData) -> RankTwoModel:
 # walls and the ambient walk
 
 
+def end_model_str(weights, degrees) -> str:
+    """``Z_{d...} ⊂ P(w...)``: an end model by its degrees and weights."""
+    return f"Z_{{{','.join(map(str, degrees))}}} ⊂ P({','.join(map(str, weights))})"
+
+
 @dataclass(frozen=True)
 class DivisorialTarget:
     """End model of the final divisorial contraction."""
@@ -377,9 +396,7 @@ class DivisorialTarget:
     contracted: str
 
     def __str__(self) -> str:
-        degs = ",".join(map(str, self.degrees))
-        ws = ",".join(map(str, self.weights))
-        return f"Z_{{{degs}}} ⊂ P({ws})"
+        return end_model_str(self.weights, self.degrees)
 
 
 @dataclass(frozen=True)
@@ -602,35 +619,17 @@ def match_recorded_grading(
     if set(mine) != set(recorded):
         raise LatticeError(f"label mismatch: {sorted(mine)} vs {sorted(recorded)}")
     pairs = [(mine[lab], recorded[lab]) for lab in mine if lab != "u"]
-    base = None
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            if det2(pairs[i][0], pairs[j][0]) != 0:
-                base = (pairs[i], pairs[j])
-                break
-        if base:
-            break
+    base = next((b for b in combinations(pairs, 2) if det2(b[0][0], b[1][0])), None)
     if base is None:
         raise LatticeError("non-u columns do not span the plane")
     (m1, r1), (m2, r2) = base
-    d = det2(m1, m2)
-    # M sends m1 -> r1 and m2 -> r2; entries solved by Cramer's rule.
-    m = (
-        (Fraction(r1[0] * m2[1] - r2[0] * m1[1], d), Fraction(r2[0] * m1[0] - r1[0] * m2[0], d)),
-        (Fraction(r1[1] * m2[1] - r2[1] * m1[1], d), Fraction(r2[1] * m1[0] - r1[1] * m2[0], d)),
+    # M sends m1 -> r1 and m2 -> r2: Cramer's numerators over det(m1, m2).
+    numerators = (
+        (r1[0] * m2[1] - r2[0] * m1[1], r2[0] * m1[0] - r1[0] * m2[0]),
+        (r1[1] * m2[1] - r2[1] * m1[1], r2[1] * m1[0] - r1[1] * m2[0]),
     )
-
-    def apply(v: Vec) -> Vec:
-        x = m[0][0] * v[0] + m[0][1] * v[1]
-        y = m[1][0] * v[0] + m[1][1] * v[1]
-        if x.denominator != 1 or y.denominator != 1:
-            raise LatticeError("regrading is not integral on the columns")
-        return (int(x), int(y))
-
-    out = {}
-    for lab, v in mine.items():
-        image = apply(v)
+    out = _regraded(model, numerators, det2(m1, m2)).column_map()
+    for lab, image in out.items():
         if lab != "u" and image != recorded[lab]:
             raise LatticeError(f"column {lab} maps to {image}, recorded {recorded[lab]}")
-        out[lab] = image
     return out

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 
 import fano2ray
 from fano2ray.cli import Command, main, run, serialize
+from fano2ray.linkengine import VerificationFailure, verify_tables
 
 
 def test_verify_json_roundtrip_and_status():
@@ -121,6 +123,29 @@ def test_main_prints_lookup_errors_unquoted(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_verify_reports_a_wrong_recorded_target(tmp_path, monkeypatch, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(Path(fano2ray.__file__).parent / "data", data)
+    targets = data / "link_targets.txt"
+    text = targets.read_text(encoding="utf-8")
+    assert text.count("100 p3 3,1,2 cE6 1,1,1,3,5 ") == 1
+    targets.write_text(
+        text.replace("100 p3 3,1,2 cE6 1,1,1,3,5 ", "100 p3 3,1,2 cE6 1,1,1,3,6 "),
+        encoding="utf-8",
+    )
+    monkeypatch.setenv("FANO2RAY_DATA", str(data))
+
+    assert main(["verify", "--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] is False
+    assert len(doc["failures"]) == 1
+    assert doc["failures"][0].startswith("family 100 p3: expected Z_{10} ⊂ P(1,1,1,3,6)")
+
+    with pytest.raises(VerificationFailure) as err:
+        verify_tables()
+    assert err.value.report.failures == doc["failures"]
 
 
 def test_verify_markdown_sections():

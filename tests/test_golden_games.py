@@ -1,12 +1,16 @@
-"""Golden table of every 2-ray game of the 35 families.
+"""Golden tables of every 2-ray game of the 35 families.
 
-One line per (family, site, tangent), read off the ``game --format json``
-document: for each wall the ambient kind and local weights, the restricted
-kind and weights (with the end model of a divisorial contraction) and the
-witnesses; then the anticanonical class, its position, the outcome kind and
-the end model.  Regenerate with
-``PYTHONPATH=src python tests/test_golden_games.py > tests/golden/games.txt``
-when a change to the games is intended.
+``games.txt`` has one line per (family, site, tangent), read off the
+``game --format json`` document: for each wall the ambient kind and local
+weights, the restricted kind and weights (with the end model of a divisorial
+contraction) and the witnesses; then the anticanonical class, its position,
+the outcome kind and the end model.  ``models.txt`` has one line per game in
+the same order, read off the ``GameTrace``: the columns and equation
+bidegrees of the raw, well-formed, raw-grading unprojected (``-`` when the
+game needs no unprojection) and game models.  Regenerate with
+``PYTHONPATH=src python tests/test_golden_games.py games > tests/golden/games.txt``
+(or ``models > tests/golden/models.txt``) when a change to the games is
+intended.
 """
 
 from __future__ import annotations
@@ -16,9 +20,10 @@ from pathlib import Path
 
 from fano2ray.catalog import load_catalog
 from fano2ray.cli import Command, run
+from fano2ray.linkengine import run_game
 from fano2ray.singular import singular_locus
 
-GOLDEN_GAMES = Path(__file__).parent / "golden" / "games.txt"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _weights(pairs) -> str:
@@ -45,24 +50,53 @@ def game_line(report: dict) -> str:
     return " | ".join([head, *walls, tail])
 
 
-def games_table() -> str:
-    lines = []
+def _games():
     for record in load_catalog():
         for entry in singular_locus(record):
             for _, tangent in entry.tangent_candidates:
-                command = Command(
-                    verb="game", family=record.id, point=entry.site.label, tangent=f"x{tangent}"
-                )
-                _, report = run(command)
-                lines.append(game_line(report))
+                yield record, entry, tangent
+
+
+def games_table() -> str:
+    lines = []
+    for record, entry, tangent in _games():
+        command = Command(
+            verb="game", family=record.id, point=entry.site.label, tangent=f"x{tangent}"
+        )
+        _, report = run(command)
+        lines.append(game_line(report))
+    return "\n".join(lines) + "\n"
+
+
+def model_text(model) -> str:
+    if model is None:
+        return "-"
+    columns = " ".join(f"{lab}:{x},{y}" for lab, (x, y) in model.columns)
+    degrees = " ".join(f"({d1},{d2})" for d1, d2 in (eq.bidegree for eq in model.equations))
+    return f"{columns} ; {degrees}"
+
+
+def models_table() -> str:
+    lines = []
+    for record, entry, tangent in _games():
+        trace, _ = run_game(record, entry, tangent)
+        stages = (trace.raw, trace.well_formed, trace.raw_unprojected, trace.game_model)
+        head = f"{record.id} {entry.site.label} x{tangent}"
+        lines.append(" | ".join([head, *map(model_text, stages)]))
     return "\n".join(lines) + "\n"
 
 
 def test_every_game_matches_golden():
     table = games_table()
     assert table.count("\n") == 87
-    assert table.encode("utf-8") == GOLDEN_GAMES.read_bytes()
+    assert table.encode("utf-8") == (GOLDEN / "games.txt").read_bytes()
+
+
+def test_every_game_model_matches_golden():
+    table = models_table()
+    assert table.count("\n") == 87
+    assert table.encode("utf-8") == (GOLDEN / "models.txt").read_bytes()
 
 
 if __name__ == "__main__":
-    sys.stdout.write(games_table())
+    sys.stdout.write({"games": games_table, "models": models_table}[sys.argv[1]]())

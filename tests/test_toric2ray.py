@@ -12,11 +12,14 @@ from fano2ray.singular import blowup_weights, locate
 from fano2ray.toric2ray import (
     MONO_VARIABLES,
     DegenerateWall,
+    LatticeError,
+    RankTwoModel,
     ZeroClass,
     ambient_walk,
     build_model,
     det2,
     divisorial_target,
+    match_recorded_grading,
     minus_k,
     movable_position,
     regrade,
@@ -245,7 +248,13 @@ def test_bihomogeneity_of_all_game_equations():
     ]
     for fid, point, tangent in cases:
         model = model_for(fid, point, tangent)
-        for stage in (model, well_form_model(model)):
+        stages = (
+            model,
+            well_form_model(model),
+            regrade(model, ((1, 1), (0, 1))),
+            regrade(model, ((2, 1), (1, 1))),
+        )
+        for stage in stages:
             cols = stage.column_map()
             for eq in stage.equations:
                 degrees = {
@@ -256,3 +265,32 @@ def test_bihomogeneity_of_all_game_equations():
                     for m in eq.support
                 }
                 assert degrees == {eq.bidegree}
+
+
+@pytest.mark.parametrize("matrix", [((2, 0), (0, 1)), ((0, 1), (1, 0)), ((1, 1), (1, 1))])
+def test_regrade_rejects_determinant_other_than_one(raw100, matrix):
+    with pytest.raises(LatticeError, match="determinant one"):
+        regrade(raw100, matrix)
+
+
+def test_match_recorded_grading_recovers_a_regrading(raw110p4):
+    target = regrade(raw110p4, ((2, 1), (1, 1))).column_map()
+    assert match_recorded_grading(raw110p4, target) == target
+
+
+def test_match_recorded_grading_rejects_label_mismatch(raw100):
+    recorded = raw100.column_map()
+    recorded["y"] = recorded.pop("y0")
+    with pytest.raises(LatticeError, match="label mismatch"):
+        match_recorded_grading(raw100, recorded)
+
+
+def test_match_recorded_grading_rejects_non_integral_image():
+    # the non-u columns force the map (x, y) -> (x/2, y/2), under which the
+    # u-column (1, 1) has no integral image
+    model = RankTwoModel(
+        columns=(("u", (1, 1)), ("y0", (2, 0)), ("y1", (0, 2))), equations=(), center="y0"
+    )
+    recorded = {"u": (0, 0), "y0": (1, 0), "y1": (0, 1)}
+    with pytest.raises(LatticeError, match="not integral"):
+        match_recorded_grading(model, recorded)
