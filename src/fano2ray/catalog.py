@@ -11,9 +11,9 @@ General members carry no coefficients anywhere in this package: every
 downstream computation is combinatorial on monomial supports, with all
 coefficients understood to be general and nonzero.
 
-The embedded data lives in plain UTF-8 files under ``fano2ray/data/`` (see
-the header comments of each file for its schema).  The directory can be
-overridden with the ``FANO2RAY_DATA`` environment variable.
+The embedded data lives in plain UTF-8 files in the ``data`` directory next
+to this module (see the header comments of each file for its schema).  The
+directory can be overridden with the ``FANO2RAY_DATA`` environment variable.
 """
 
 from __future__ import annotations
@@ -21,21 +21,16 @@ from __future__ import annotations
 import operator
 import os
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from importlib import resources
 from math import gcd, prod
-from pathlib import Path
+from typing import NamedTuple
 
 Weights = tuple[int, ...]
 Monomial = tuple[int, ...]
 
 #: Ambient coordinate names, by index.
 VARIABLES = ("x0", "x1", "x2", "x3", "x4")
-
-#: Families with no fibration witness; conjecturally the solid ones.
-SOLID_CANDIDATES = frozenset({100, 101, 102, 103, 110})
 
 
 class CatalogError(ValueError):
@@ -131,8 +126,7 @@ def well_form_weights(weights: Weights) -> Weights:
 # expectation data (reference tables, kept verbatim with known misprints)
 
 
-@dataclass(frozen=True)
-class LinkExpectation:
+class LinkExpectation(NamedTuple):
     """Recorded end model of the elementary link from one distinguished point."""
 
     family: int
@@ -144,8 +138,7 @@ class LinkExpectation:
     construction: str  # "hypersurface" | "unprojection"
 
 
-@dataclass(frozen=True)
-class ExclusionExpectation:
+class ExclusionExpectation(NamedTuple):
     """Recorded exclusion game at one non-distinguished quotient singularity."""
 
     family: int
@@ -159,8 +152,7 @@ class ExclusionExpectation:
     verdict: str  # "bad_link" | "no_link"
 
 
-@dataclass(frozen=True)
-class MatrixExpectation:
+class MatrixExpectation(NamedTuple):
     """Recorded rank-2 weight matrix of a displayed model."""
 
     family: int
@@ -174,8 +166,7 @@ class MatrixExpectation:
         return tuple((lab, (a, b)) for lab, a, b in zip(self.labels, r1, r2))
 
 
-@dataclass(frozen=True)
-class FamilyExpectations:
+class FamilyExpectations(NamedTuple):
     links: tuple[LinkExpectation, ...] = ()
     exclusions: tuple[ExclusionExpectation, ...] = ()
     matrices: tuple[MatrixExpectation, ...] = ()
@@ -185,8 +176,7 @@ class FamilyExpectations:
         return self.links[0].point if self.links else None
 
 
-@dataclass(frozen=True)
-class FamilyRecord:
+class FamilyRecord(NamedTuple):
     """One catalog entry: ``X_degree`` in ``P(weights)`` plus expectation data."""
 
     id: int
@@ -243,15 +233,13 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(t) for t in text.split(","))
 
 
-def _data_dir() -> Path | object:
-    override = os.environ.get("FANO2RAY_DATA")
-    if override:
-        return Path(override)
-    return resources.files("fano2ray") / "data"
+def _data_dir() -> str:
+    return os.environ.get("FANO2RAY_DATA") or os.path.join(os.path.dirname(__file__), "data")
 
 
-def _data_lines(name: str) -> list[str]:
-    text = (_data_dir() / name).read_text(encoding="utf-8")
+def _data_lines(data_dir: str, name: str) -> list[str]:
+    with open(os.path.join(data_dir, name), encoding="utf-8") as f:
+        text = f.read()
     out = []
     for line in text.splitlines():
         line = line.strip()
@@ -260,9 +248,9 @@ def _data_lines(name: str) -> list[str]:
     return out
 
 
-def _load_links() -> dict[int, list[LinkExpectation]]:
+def _load_links(data_dir: str) -> dict[int, list[LinkExpectation]]:
     table: dict[int, list[LinkExpectation]] = {}
-    for line in _data_lines("link_targets.txt"):
+    for line in _data_lines(data_dir, "link_targets.txt"):
         fam, point, ktype, label, tweights, tdegrees, construction = line.split()
         exp = LinkExpectation(
             family=int(fam),
@@ -277,9 +265,9 @@ def _load_links() -> dict[int, list[LinkExpectation]]:
     return table
 
 
-def _load_exclusions() -> dict[int, list[ExclusionExpectation]]:
+def _load_exclusions(data_dir: str) -> dict[int, list[ExclusionExpectation]]:
     table: dict[int, list[ExclusionExpectation]] = {}
-    for line in _data_lines("exclusions.txt"):
+    for line in _data_lines(data_dir, "exclusions.txt"):
         fam, site, tangent, count, ltype, keys, blowup, corrected, verdict = line.split()
         exp = ExclusionExpectation(
             family=int(fam),
@@ -296,9 +284,9 @@ def _load_exclusions() -> dict[int, list[ExclusionExpectation]]:
     return table
 
 
-def _load_matrices() -> dict[int, list[MatrixExpectation]]:
+def _load_matrices(data_dir: str) -> dict[int, list[MatrixExpectation]]:
     table: dict[int, list[MatrixExpectation]] = {}
-    for line in _data_lines("reference_matrices.txt"):
+    for line in _data_lines(data_dir, "reference_matrices.txt"):
         fam, point, stage, labels, row1, row2 = line.split()
         exp = MatrixExpectation(
             family=int(fam),
@@ -328,13 +316,12 @@ def _validate(records: tuple[FamilyRecord, ...]) -> None:
 
 
 @lru_cache(maxsize=None)
-def _load_catalog(data_key: str) -> tuple[FamilyRecord, ...]:
-    del data_key  # cache key only; the directory is re-resolved below
-    links = _load_links()
-    exclusions = _load_exclusions()
-    matrices = _load_matrices()
+def _load_catalog(data_dir: str) -> tuple[FamilyRecord, ...]:
+    links = _load_links(data_dir)
+    exclusions = _load_exclusions(data_dir)
+    matrices = _load_matrices(data_dir)
     records = []
-    for line in _data_lines("families.txt"):
+    for line in _data_lines(data_dir, "families.txt"):
         fam, weights, degree, rational = line.split()
         fam_id = int(fam)
         expected = FamilyExpectations(
@@ -358,7 +345,7 @@ def _load_catalog(data_key: str) -> tuple[FamilyRecord, ...]:
 
 def load_catalog() -> tuple[FamilyRecord, ...]:
     """All 35 records, validated against the structural invariants."""
-    return _load_catalog(os.environ.get("FANO2RAY_DATA", ""))
+    return _load_catalog(_data_dir())
 
 
 def family(family_id: int) -> FamilyRecord:

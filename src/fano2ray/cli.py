@@ -14,8 +14,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import catalog as cat
 from . import exclusion, linkengine
@@ -26,8 +26,7 @@ from .toric2ray import RankTwoModel
 USAGE_ERROR = 2
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     verb: str
     family: int | None = None
     point: str | None = None
@@ -209,7 +208,7 @@ def _verify_report() -> tuple[int, dict]:
             "witness_less": list(summary.witness_less),
             "links_confirmed": links_confirmed,
         },
-        "deviations": [asdict(d) for d in report.deviations],
+        "deviations": [d._asdict() for d in report.deviations],
         "failures": list(report.failures),
         "ok": report.ok and links_confirmed,
     }

@@ -9,9 +9,9 @@ anywhere; all report values are :class:`fractions.Fraction`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from typing import NamedTuple
 
 from .catalog import FamilyRecord, Weights, anticanonical_cube, load_catalog
 
@@ -28,8 +28,7 @@ class InvariantBreach(RuntimeError):
     """An internally guaranteed inequality failed; indicates corrupt data."""
 
 
-@dataclass(frozen=True)
-class ExclusionReport:
+class ExclusionReport(NamedTuple):
     """Outcome of one numerical test, certified iff value <= threshold."""
 
     kind: str  # "smooth_point" | "curve"
@@ -86,8 +85,7 @@ def curve_test(record: FamilyRecord) -> ExclusionReport:
     )
 
 
-@dataclass(frozen=True)
-class FibrationWitness:
+class FibrationWitness(NamedTuple):
     """Exact data exhibiting a birational map to a fibration over the line.
 
     The projection to the first two coordinates has fibres of negative
@@ -141,8 +139,7 @@ def fibration_witness(record: FamilyRecord) -> FibrationWitness | None:
     return witness
 
 
-@dataclass(frozen=True)
-class SoliditySummary:
+class SoliditySummary(NamedTuple):
     witnessed: tuple[int, ...]
     witness_less: tuple[int, ...]
 

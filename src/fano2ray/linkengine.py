@@ -19,7 +19,7 @@ derived value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .catalog import (
     FamilyRecord,
@@ -70,26 +70,31 @@ class VerificationFailure(Exception):
 # running one game
 
 
-@dataclass(frozen=True)
-class FanoModel:
-    """End model of an elementary link, with its expected singularity label."""
-
+class _FanoModelFields(NamedTuple):
     weights: tuple[int, ...]
     degrees: tuple[int, ...]
     label: str | None = None
 
-    def __post_init__(self):
-        if sum(self.degrees) >= sum(self.weights):
-            raise ValueError(
-                f"Z_{self.degrees} in P{self.weights} fails the Fano adjunction bound"
-            )
+
+class FanoModel(_FanoModelFields):
+    """End model of an elementary link, with its expected singularity label.
+
+    A NamedTuple may not define ``__new__``, so the Fano adjunction check
+    lives on this subclass of the fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, weights, degrees, label=None):
+        if sum(degrees) >= sum(weights):
+            raise ValueError(f"Z_{degrees} in P{weights} fails the Fano adjunction bound")
+        return super().__new__(cls, weights, degrees, label)
 
     def __str__(self) -> str:
         return end_model_str(self.weights, self.degrees)
 
 
-@dataclass(frozen=True)
-class LinkOutcome:
+class LinkOutcome(NamedTuple):
     """Verdict of one game; an elementary link always carries its Fano model.
 
     ``kind`` is ``elementary_link``, ``bad_link`` or ``no_link`` for every
@@ -105,8 +110,7 @@ class LinkOutcome:
     warnings: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class GameTrace:
+class GameTrace(NamedTuple):
     """Every stage of one game.  ``raw_unprojected`` is ``None`` when the
     equation is not in the irrelevant ideal; ``game_model``, the model the
     walk runs on, is the well-formed ``raw_unprojected`` or ``well_formed``."""
@@ -200,8 +204,7 @@ def run_game(
 # replay of the reference tables
 
 
-@dataclass(frozen=True)
-class Deviation:
+class Deviation(NamedTuple):
     """A recorded reference value that recomputation contradicts."""
 
     kind: str
@@ -211,15 +214,17 @@ class Deviation:
     derived: str
 
 
-@dataclass
 class Report:
-    catalog_count: int = 0
-    index_mismatches: tuple[int, ...] = ()
-    link_rows: list[dict] = field(default_factory=list)
-    exclusion_rows: list[dict] = field(default_factory=list)
-    matrix_rows: list[dict] = field(default_factory=list)
-    deviations: list[Deviation] = field(default_factory=list)
-    failures: list[str] = field(default_factory=list)
+    """Rows, deviations and failures of one replay of the reference tables."""
+
+    def __init__(self) -> None:
+        self.catalog_count = 0
+        self.index_mismatches: tuple[int, ...] = ()
+        self.link_rows: list[dict] = []
+        self.exclusion_rows: list[dict] = []
+        self.matrix_rows: list[dict] = []
+        self.deviations: list[Deviation] = []
+        self.failures: list[str] = []
 
     @property
     def ok(self) -> bool:

@@ -12,8 +12,8 @@ Kawamata blow-up that seeds the rank-2 toric models of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .catalog import FamilyRecord, Monomial, monomial_support
 
@@ -30,8 +30,7 @@ class UnresolvedTangent(ValueError):
 # sites
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(NamedTuple):
     """A coordinate point ``p_i`` of the ambient space."""
 
     index: int
@@ -45,8 +44,7 @@ class Vertex:
         return (self.index,)
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(NamedTuple):
     """The one-dimensional coordinate stratum through ``p_i`` and ``p_j``."""
 
     first: int
@@ -68,8 +66,7 @@ Site = Vertex | Stratum
 # terminal normal form
 
 
-@dataclass(frozen=True)
-class QuotientSingularity:
+class QuotientSingularity(NamedTuple):
     """A terminal cyclic quotient germ ``1/r(w1,w2,w3)``.
 
     ``local_weights`` maps the three local coordinate indices to their
@@ -128,8 +125,7 @@ def normalize_terminal(
 # singular locus of a general member
 
 
-@dataclass(frozen=True)
-class SingularLocusEntry:
+class SingularLocusEntry(NamedTuple):
     """One singular site of a general member, with its tangent data.
 
     ``tangent_candidates`` pairs each key monomial ``x_c^k * x_j`` of the
@@ -249,8 +245,7 @@ def locate(record: FamilyRecord, label: str) -> SingularLocusEntry:
 # Kawamata blow-up weights
 
 
-@dataclass(frozen=True)
-class BlowupData:
+class BlowupData(NamedTuple):
     """Weight data of the Kawamata blow-up at one center with a chosen tangent.
 
     ``b`` holds the blow-up weight of every variable ``x0..x4``, 0 at the

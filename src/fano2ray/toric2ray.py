@@ -32,11 +32,11 @@ made) are private to this module; other modules use the functions here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property, cmp_to_key
 from itertools import combinations
 from math import gcd
 from operator import mul
+from typing import NamedTuple
 
 from .catalog import FamilyRecord, well_form_weights
 from .singular import BlowupData
@@ -86,38 +86,33 @@ def mono_str(m: Mono) -> str:
     return "*".join(lab if e == 1 else f"{lab}^{e}" for lab, e in factors)
 
 
-@dataclass(frozen=True)
-class TransformedEquation:
+class TransformedEquation(NamedTuple):
     """Monomial support of one transformed equation and its bidegree."""
 
     support: frozenset[Mono]
     bidegree: Vec
 
-    @cached_property
-    def ordered_support(self) -> tuple[Mono, ...]:
-        """The support sorted once, in lexicographic order of the labelled
-        factor sequences (the order witnesses are picked in)."""
-        return tuple(sorted(self.support, key=_factors))
 
-
-@dataclass(frozen=True)
-class _Wall:
+class _Wall(NamedTuple):
     direction: Vec
     labels: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class RankTwoModel:
+class _ModelFields(NamedTuple):
+    columns: tuple[tuple[str, Vec], ...]
+    equations: tuple[TransformedEquation, ...]
+    center: str
+
+
+class RankTwoModel(_ModelFields):
     """A rank-2 toric ambient model with its transformed equation(s).
 
     ``columns`` are the rays, sorted strictly anticlockwise starting from the
     ``u``-ray (parallel rays kept adjacent); ``center`` is the label of the
-    blown-up center variable, always the second ray direction.
+    blown-up center variable, always the second ray direction.  The class
+    declares no ``__slots__``: the cached ``walls`` lives in the instance
+    ``__dict__``, which a bare NamedTuple does not have.
     """
-
-    columns: tuple[tuple[str, Vec], ...]
-    equations: tuple[TransformedEquation, ...]
-    center: str
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -313,8 +308,7 @@ def regrade(model: RankTwoModel, matrix: tuple[Vec, Vec]) -> RankTwoModel:
 # unprojection
 
 
-@dataclass(frozen=True)
-class UnprojectionData:
+class UnprojectionData(NamedTuple):
     """The split ``g = u*A + y_c*B`` and the weight of the new variable.
 
     ``piece_u`` is the support of ``A`` and ``piece_center`` the support of
@@ -387,8 +381,7 @@ def end_model_str(weights, degrees) -> str:
     return f"Z_{{{','.join(map(str, degrees))}}} ⊂ P({','.join(map(str, weights))})"
 
 
-@dataclass(frozen=True)
-class DivisorialTarget:
+class DivisorialTarget(NamedTuple):
     """End model of the final divisorial contraction."""
 
     weights: tuple[int, ...]
@@ -399,8 +392,7 @@ class DivisorialTarget:
         return end_model_str(self.weights, self.degrees)
 
 
-@dataclass(frozen=True)
-class WallStep:
+class WallStep(NamedTuple):
     """One wall crossing: ambient classification plus the restriction to Y."""
 
     wall: str
@@ -467,74 +459,74 @@ def restrict_walk(model: RankTwoModel) -> tuple[WallStep, ...]:
 
     Iso: some equation has a monomial supported on the wall variables alone
     (the restricted variety misses the modified locus); the witness is the
-    least such monomial of the first such equation.  Flip/flop: every
-    equation has a monomial ``v * wall^k`` linear in a pre-crossing off-wall
-    variable ``v``, so each such ``v`` is eliminated and its weight dropped
-    from the ambient local weights; the result is an Atiyah flop exactly when
-    the remaining weights are ``(1,1,-1,-1)`` up to order.  A crossing where
-    no rule applies stays indeterminate; the final verdict then rests on the
-    anticanonical position alone.
+    least such monomial of the first such equation, in lexicographic order of
+    the labelled factor sequences.  Every wall column is a positive multiple
+    of the wall direction, so only an equation whose bidegree is one can hold
+    such a monomial; the supports of the others are not scanned.  Flip/flop:
+    every equation has a monomial ``v * wall^k`` linear in a pre-crossing
+    off-wall variable ``v``, so each such ``v`` is eliminated (the least such
+    monomial is the witness) and its weight dropped from the ambient local
+    weights; the result is an Atiyah flop exactly when the remaining weights
+    are ``(1,1,-1,-1)`` up to order.  A crossing where no rule applies stays
+    indeterminate; the final verdict then rests on the anticanonical position
+    alone.
     """
-    _, index_of = model.walls
+    groups, index_of = model.walls
     steps = []
     for step in ambient_walk(model):
         wall_gi = index_of[step.wall]
         if step.ambient_kind == "contraction":
             steps.append(
-                replace(
-                    step,
-                    restricted_kind="divisorial",
-                    target=divisorial_target(model, step.wall),
+                step._replace(
+                    restricted_kind="divisorial", target=divisorial_target(model, step.wall)
                 )
             )
             continue
         off_wall = [
             i for i, lab in enumerate(MONO_VARIABLES) if lab not in step.wall_variables
         ]
-        iso_witness = next(
-            (
-                m
-                for eq in model.equations
-                for m in eq.ordered_support
-                if any(m) and not any(m[i] for i in off_wall)
-            ),
-            None,
-        )
+        d = groups[wall_gi].direction
+        iso_witness = None
+        for eq in model.equations:
+            b = eq.bidegree
+            if det2(b, d) or b[0] * d[0] + b[1] * d[1] <= 0:
+                continue  # not a positive multiple of the wall direction
+            found = [m for m in eq.support if any(m) and not any(m[i] for i in off_wall)]
+            if found:
+                iso_witness = min(found, key=_factors)
+                break
         if iso_witness is not None:
             steps.append(
-                replace(step, restricted_kind="iso", witnesses=(mono_str(iso_witness),))
+                step._replace(restricted_kind="iso", witnesses=(mono_str(iso_witness),))
             )
             continue
         eliminated: list[str] = []
         witnesses: list[str] = []
         for eq in model.equations:
-            found = None
-            for m in eq.ordered_support:
+            linear = []
+            for m in eq.support:
                 off = [i for i in off_wall if m[i]]
                 if len(off) != 1 or m[off[0]] != 1:
                     continue
                 lab = MONO_VARIABLES[off[0]]
                 if index_of[lab] < wall_gi and lab not in eliminated:
-                    found = (lab, m)
-                    break
-            if found is None:
+                    linear.append((lab, m))
+            if not linear:
                 eliminated = []
                 break
-            eliminated.append(found[0])
-            witnesses.append(mono_str(found[1]))
+            lab, m = min(linear, key=lambda pair: _factors(pair[1]))
+            eliminated.append(lab)
+            witnesses.append(mono_str(m))
         if eliminated:
             rest = tuple((lab, v) for lab, v in step.ambient_weights if lab not in eliminated)
             kind = "flop" if sorted(v for _, v in rest) == [-1, -1, 1, 1] else "flip"
             steps.append(
-                replace(
-                    step,
-                    restricted_kind=kind,
-                    restricted_weights=rest,
-                    witnesses=tuple(witnesses),
+                step._replace(
+                    restricted_kind=kind, restricted_weights=rest, witnesses=tuple(witnesses)
                 )
             )
         else:
-            steps.append(replace(step, restricted_kind="indeterminate"))
+            steps.append(step._replace(restricted_kind="indeterminate"))
     return tuple(steps)
 
 

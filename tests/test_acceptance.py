@@ -12,7 +12,6 @@ from fractions import Fraction
 import pytest
 
 from fano2ray.catalog import (
-    SOLID_CANDIDATES,
     anticanonical_cube,
     family,
     fano_index,
@@ -31,6 +30,8 @@ from fano2ray.toric2ray import (
     regrade,
     well_form_model,
 )
+
+from expected import SOLID_CANDIDATES
 
 _T0 = time.perf_counter()
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from fano2ray import catalog
 from fano2ray.catalog import (
-    SOLID_CANDIDATES,
     anticanonical_cube,
     family,
     fano_index,
@@ -19,6 +18,8 @@ from fano2ray.catalog import (
     weighted_degree,
     well_form_weights,
 )
+
+from expected import SOLID_CANDIDATES
 
 
 def coin_change_count(weights, degree):

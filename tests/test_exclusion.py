@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fano2ray.catalog import SOLID_CANDIDATES, family, load_catalog
+from fano2ray.catalog import family, load_catalog
 from fano2ray.exclusion import (
     curve_test,
     default_h_degree,
@@ -16,6 +16,8 @@ from fano2ray.exclusion import (
 )
 from fano2ray.linkengine import run_game
 from fano2ray.singular import locate
+
+from expected import SOLID_CANDIDATES
 
 
 def test_smooth_point_examples():

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import fano2ray
@@ -21,3 +23,21 @@ def test_no_module_imports_another_modules_private_names():
                     if alias.name.startswith("_")
                 ]
     assert offenders == []
+
+
+def test_start_up_imports_no_heavy_standard_modules():
+    # a fresh interpreter without site-packages, as a cold CLI run starts
+    heavy = ("dataclasses", "inspect", "importlib.resources", "pathlib", "tempfile", "shutil")
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import fano2ray.cli; "
+        "fano2ray.catalog.load_catalog(); "
+        f"print(sorted(m for m in {heavy!r} if m in sys.modules))"
+    )
+    child = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(SRC.parent)],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert child.stdout.strip() == "[]"

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fano2ray.catalog import family
-from fano2ray.linkengine import needs_unprojection, unproject
-from fano2ray.singular import blowup_weights, locate
+from fano2ray.catalog import family, load_catalog
+from fano2ray.linkengine import needs_unprojection, run_game, unproject
+from fano2ray.singular import blowup_weights, locate, singular_locus
 from fano2ray.toric2ray import (
     MONO_VARIABLES,
     DegenerateWall,
@@ -265,6 +265,38 @@ def test_bihomogeneity_of_all_game_equations():
                     for m in eq.support
                 }
                 assert degrees == {eq.bidegree}
+
+
+def test_iso_scan_skips_only_equations_without_wall_monomials():
+    # restrict_walk scans an equation for a monomial in the wall variables
+    # alone only when its bidegree is a positive multiple of the wall
+    # direction; a full scan at every flip wall of every game finds none in
+    # the equations it skips
+    games = found = skipped = 0
+    for record in load_catalog():
+        for entry in singular_locus(record):
+            for _, tangent in entry.tangent_candidates:
+                trace, _ = run_game(record, entry, tangent)
+                games += 1
+                model = trace.game_model
+                for step in trace.steps:
+                    if step.ambient_kind != "flip":
+                        continue
+                    x, y = model.column_map()[step.wall]
+                    d = (x // gcd(x, y), y // gcd(x, y))
+                    on_wall = [lab in step.wall_variables for lab in MONO_VARIABLES]
+                    for eq in model.equations:
+                        b = eq.bidegree
+                        multiple = det2(b, d) == 0 and b[0] * d[0] + b[1] * d[1] > 0
+                        hit = any(
+                            any(m) and all(on or not e for on, e in zip(on_wall, m))
+                            for m in eq.support
+                        )
+                        assert multiple or not hit, (record.id, entry.site.label, step.wall)
+                        found += hit
+                        skipped += not multiple
+    assert games == 87
+    assert found and skipped
 
 
 @pytest.mark.parametrize("matrix", [((2, 0), (0, 1)), ((0, 1), (1, 0)), ((1, 1), (1, 1))])
