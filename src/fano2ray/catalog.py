@@ -349,7 +349,15 @@ def load_catalog() -> tuple[FamilyRecord, ...]:
 
 
 def family(family_id: int) -> FamilyRecord:
-    """Look up one family by its id in 96..130."""
+    """Look up one family by its id in 96..130.
+
+    The id must be an integer (``operator.index``): a float or a string
+    raises :class:`TypeError`, an id out of range :class:`KeyError`.
+    """
+    try:
+        family_id = operator.index(family_id)
+    except TypeError:
+        raise TypeError(f"family id must be an integer, got {family_id!r}") from None
     records = load_catalog()
     if not 96 <= family_id <= 130:
         raise KeyError(f"no family {family_id}; ids run 96..130")

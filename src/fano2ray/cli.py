@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import NamedTuple
@@ -428,31 +429,56 @@ def serialize(report: dict, fmt: str) -> str:
 # argument parsing
 
 
+def _help_formatter(prog: str) -> argparse.HelpFormatter:
+    """argparse's default formatter at the width it would pick itself.
+
+    The width is what ``shutil.get_terminal_size`` gives (``COLUMNS``, else
+    the terminal on ``sys.__stdout__``, else 80) minus 2, computed here:
+    argparse makes a formatter for every argument it adds, and its own width
+    lookup imports ``shutil`` (and with it ``bz2``, ``lzma`` and ``zlib``) on
+    every run, although help is rarely printed.
+    """
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns <= 0:
+        try:
+            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+        except (AttributeError, ValueError, OSError):
+            columns = 0
+    return argparse.HelpFormatter(prog, width=(columns or 80) - 2)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fano2ray",
         description="Birational analysis of the index >= 2 Fano threefold hypersurfaces",
+        formatter_class=_help_formatter,
     )
     sub = parser.add_subparsers(dest="verb", required=True)
+
+    def add_verb(name, help):
+        return sub.add_parser(name, help=help, formatter_class=_help_formatter)
 
     def add_format(p):
         p.add_argument(
             "--format", choices=("markdown", "json"), default="markdown", dest="format"
         )
 
-    add_format(sub.add_parser("catalog", help="replay the family table"))
-    p = sub.add_parser("analyze", help="singular locus of one family")
+    add_format(add_verb("catalog", "replay the family table"))
+    p = add_verb("analyze", "singular locus of one family")
     p.add_argument("family", type=int)
     add_format(p)
-    p = sub.add_parser("game", help="run one 2-ray game")
+    p = add_verb("game", "run one 2-ray game")
     p.add_argument("family", type=int)
     p.add_argument("--point", required=True, help="site label, e.g. p3 or p2p4")
     p.add_argument("--tangent", help="tangent variable, e.g. x2")
     add_format(p)
-    p = sub.add_parser("exclude", help="numerical tests and fibration witness")
+    p = add_verb("exclude", "numerical tests and fibration witness")
     p.add_argument("family", type=int)
     add_format(p)
-    add_format(sub.add_parser("verify", help="replay all reference tables"))
+    add_format(add_verb("verify", "replay all reference tables"))
     return parser
 
 

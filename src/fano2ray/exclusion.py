@@ -9,6 +9,7 @@ anywhere; all report values are :class:`fractions.Fraction`.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import prod
 from typing import NamedTuple
@@ -52,9 +53,11 @@ def smooth_point_test(record: FamilyRecord, h_degree: int | None = None) -> Excl
     """Intersection bound ``h * index^2 * degree / prod(weights)`` against 4.
 
     The test value scales linearly in ``h_degree``, so certification at some
-    ``h`` implies certification at every smaller valid ``h``.
+    ``h`` implies certification at every smaller valid ``h``.  ``h_degree``
+    must be an integer (``operator.index``): a float or a string raises
+    :class:`TypeError`.
     """
-    h = default_h_degree(record) if h_degree is None else int(h_degree)
+    h = default_h_degree(record) if h_degree is None else operator.index(h_degree)
     if h < 1:
         raise ValueError("cutting degree must be positive")
     value = Fraction(h * record.index**2 * record.degree, prod(record.weights))

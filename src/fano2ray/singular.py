@@ -12,6 +12,7 @@ Kawamata blow-up that seeds the rank-2 toric models of
 
 from __future__ import annotations
 
+import operator
 from math import gcd
 from typing import NamedTuple
 
@@ -279,7 +280,26 @@ def _variable_index(tangent: int | str) -> int:
         if not tangent.startswith("x") or not tangent[1:].isdigit():
             raise ValueError(f"bad variable name {tangent!r}")
         return int(tangent[1:])
-    return int(tangent)
+    return operator.index(tangent)
+
+
+def _centering_monomials(
+    weights: tuple[int, ...], degree: int, center: int, tangent: int
+) -> frozenset[Monomial]:
+    """The support monomials killed by the graded centering at ``x_center``
+    with tangent ``x_tangent``: the pure center power ``x_c^(d/a_c)`` and every
+    ``x_c^k * x_j`` with ``k >= 1`` and ``j`` neither the center nor the
+    tangent.  Both are read off the weights (an exponent vector of degree
+    ``d`` is in the support), so the support is never scanned."""
+    a_c = weights[center]
+    excluded = []
+    if degree % a_c == 0:
+        excluded.append(tuple(degree // a_c if l == center else 0 for l in range(5)))
+    for j in range(5):
+        k, rem = divmod(degree - weights[j], a_c)
+        if j not in (center, tangent) and k >= 1 and not rem:
+            excluded.append(tuple(k if l == center else int(l == j) for l in range(5)))
+    return frozenset(excluded)
 
 
 def blowup_weights(
@@ -290,7 +310,11 @@ def blowup_weights(
     The tangent weight is computed as the minimum of ``sum(e_l * b_l)`` over
     the support monomials not involving the tangent variable (center weight
     zero, excluded monomials dropped); it always agrees with the congruence
-    ``multiplier * weight`` mod ``r``.
+    ``multiplier * weight`` mod ``r``.  The excluded monomials are read off
+    the weights, and each cost is one dot product with the dense weight
+    vector, whose center and tangent entries are still 0.  ``tangent`` is a
+    name ``"x<i>"`` or an integer (``operator.index``: a float raises
+    :class:`TypeError`).
     """
     tangent = _variable_index(tangent)
     if tangent not in {t for _, t in entry.tangent_candidates}:
@@ -309,24 +333,13 @@ def blowup_weights(
     locals_ = tuple(l for l in range(5) if l not in (c, tangent))
     sing = normalize_terminal(r, tuple(w[l] for l in locals_), locals_)
     m = sing.multiplier
-    b = {l: (m * w[l]) % r for l in locals_}
+    b = [(m * w[l]) % r if l in locals_ else 0 for l in range(5)]
 
-    support = record.support()
-    excluded = set()
-    for mono in support:
-        nonzero = [l for l, e in enumerate(mono) if e > 0]
-        if nonzero == [c]:
-            excluded.add(mono)  # pure center power (vertex off-member guard / root shift)
-        elif len(nonzero) == 2 and c in nonzero:
-            other = nonzero[0] if nonzero[1] == c else nonzero[1]
-            if other != tangent and mono[other] == 1 and mono[c] >= 1:
-                excluded.add(mono)  # key monomial of a different tangent choice
-
-    working = support - excluded
+    excluded = _centering_monomials(w, record.degree, c, tangent)
     costs = [
-        sum(e * b[l] for l, e in enumerate(mono) if l in b)
-        for mono in working
-        if mono[tangent] == 0
+        sum(map(operator.mul, mono, b))
+        for mono in record.support() - excluded
+        if not mono[tangent]
     ]
     if not costs:
         raise UnresolvedTangent(
@@ -342,9 +355,9 @@ def blowup_weights(
     return BlowupData(
         center_entry=entry,
         tangent=tangent,
-        b=tuple(b.get(l, 0) for l in range(5)),
+        b=tuple(b),
         singularity=sing,
-        excluded=frozenset(excluded),
+        excluded=excluded,
         r=r,
         center_index=c,
     )

@@ -35,7 +35,7 @@ from __future__ import annotations
 from functools import cached_property, cmp_to_key
 from itertools import combinations
 from math import gcd
-from operator import mul
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 from .catalog import FamilyRecord, well_form_weights
@@ -211,11 +211,12 @@ def build_model(record: FamilyRecord, blow: BlowupData) -> RankTwoModel:
     mu = min(cost.values())
     support = []
     for m, k in cost.items():
-        if (k - mu) % r != 0:
+        u, rem = divmod(k - mu, r)
+        if rem:
             raise NonHomogeneous(
                 f"monomial cost {k} not congruent to the multiplicity {mu} mod {r}"
             )
-        support.append(((k - mu) // r, *m, 0))
+        support.append((u, *m, 0))
     equation = _make_equation(support, dict(columns))
     return RankTwoModel(columns=columns, equations=(equation,), center=f"y{blow.center_index}")
 
@@ -335,11 +336,12 @@ def needs_unprojection(model: RankTwoModel) -> UnprojectionData | None:
         raise ValueError("unprojection test expects a single-equation model")
     eq = model.equations[0]
     c = MONO_VARIABLES.index(model.center)
-    rest = [i for i in range(1, len(MONO_VARIABLES)) if i != c]
+    # the five positions besides u and the center: a tuple for every monomial
+    rest = itemgetter(*(i for i in range(1, len(MONO_VARIABLES)) if i != c))
     piece_u = set()
     piece_center = set()
     for m in eq.support:
-        if not any(m[i] for i in rest):
+        if not any(rest(m)):
             return None
         if m[0]:
             piece_u.add((m[0] - 1, *m[1:]))
@@ -470,6 +472,10 @@ def restrict_walk(model: RankTwoModel) -> tuple[WallStep, ...]:
     are ``(1,1,-1,-1)`` up to order.  A crossing where no rule applies stays
     indeterminate; the final verdict then rests on the anticanonical position
     alone.
+
+    Both scans read a monomial's off-wall exponents with one ``itemgetter``
+    per wall: a monomial lies on the wall when they are all zero, and is
+    linear in exactly one off-wall variable when they sum to 1.
     """
     groups, index_of = model.walls
     steps = []
@@ -485,13 +491,16 @@ def restrict_walk(model: RankTwoModel) -> tuple[WallStep, ...]:
         off_wall = [
             i for i, lab in enumerate(MONO_VARIABLES) if lab not in step.wall_variables
         ]
+        # u, the center and a ray beyond the wall are always off it, so ``off``
+        # has at least three positions and always returns a tuple
+        off = itemgetter(*off_wall)
         d = groups[wall_gi].direction
         iso_witness = None
         for eq in model.equations:
             b = eq.bidegree
             if det2(b, d) or b[0] * d[0] + b[1] * d[1] <= 0:
                 continue  # not a positive multiple of the wall direction
-            found = [m for m in eq.support if any(m) and not any(m[i] for i in off_wall)]
+            found = [m for m in eq.support if not any(off(m)) and any(m)]
             if found:
                 iso_witness = min(found, key=_factors)
                 break
@@ -505,10 +514,11 @@ def restrict_walk(model: RankTwoModel) -> tuple[WallStep, ...]:
         for eq in model.equations:
             linear = []
             for m in eq.support:
-                off = [i for i in off_wall if m[i]]
-                if len(off) != 1 or m[off[0]] != 1:
+                exponents = off(m)
+                # exponents are non-negative: one off-wall variable, linearly
+                if sum(exponents) != 1:
                     continue
-                lab = MONO_VARIABLES[off[0]]
+                lab = MONO_VARIABLES[off_wall[exponents.index(1)]]
                 if index_of[lab] < wall_gi and lab not in eliminated:
                     linear.append((lab, m))
             if not linear:

@@ -151,6 +151,17 @@ def test_monomial_support_rejects_non_integers():
         monomial_support((-1, 2), 4)
 
 
+def test_family_rejects_non_integer_ids():
+    # 100.0 used to pass the range check and fail as a tuple index
+    with pytest.raises(TypeError, match="family id must be an integer, got 100.0"):
+        family(100.0)
+    with pytest.raises(TypeError, match="family id must be an integer"):
+        family("100")
+    with pytest.raises(KeyError):
+        family(131)
+    assert family(100).id == 100
+
+
 def test_support_cache_holds_whole_supports_only():
     rec = family(110)
     catalog._support.cache_clear()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import shutil
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import fano2ray
-from fano2ray.cli import Command, main, run, serialize
+from fano2ray.cli import Command, build_parser, main, run, serialize
 from fano2ray.linkengine import VerificationFailure, verify_tables
 
 
@@ -102,6 +103,42 @@ def test_main_usage_error_status(capsys):
     with pytest.raises(SystemExit) as err:
         main(["game"])  # missing family and --point
     assert err.value.code == 2
+
+
+def _parser_and_verbs(parser):
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            yield from action.choices.values()
+
+
+GAME_USAGE = {
+    "60": (
+        "usage: fano2ray game [-h] --point POINT\n"
+        "                     [--tangent TANGENT]\n"
+        "                     [--format {markdown,json}]\n"
+        "                     family\n"
+    ),
+    "200": (
+        "usage: fano2ray game [-h] --point POINT [--tangent TANGENT] "
+        "[--format {markdown,json}] family\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("columns", ["60", "200"])
+def test_help_wraps_at_the_width_of_columns(monkeypatch, capsys, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    helps = [p.format_help() for p in _parser_and_verbs(build_parser())]
+    # the same text as with argparse's own formatter, which reads COLUMNS
+    # through shutil.get_terminal_size
+    reference = build_parser()
+    for p in _parser_and_verbs(reference):
+        p.formatter_class = argparse.HelpFormatter
+    assert helps == [p.format_help() for p in _parser_and_verbs(reference)]
+    with pytest.raises(SystemExit):
+        main(["game", "--help"])
+    assert capsys.readouterr().out.startswith(GAME_USAGE[columns])
 
 
 def test_main_bad_family(capsys):

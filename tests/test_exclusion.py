@@ -42,6 +42,16 @@ def test_smooth_point_defaults():
         assert not rep.certified
 
 
+def test_smooth_point_rejects_non_integer_h():
+    # int() used to truncate h = 2.9 to 2 and to accept the string "3"
+    rec = family(110)
+    with pytest.raises(TypeError):
+        smooth_point_test(rec, 2.9)
+    with pytest.raises(TypeError):
+        smooth_point_test(rec, "3")
+    assert smooth_point_test(rec, 3).h_degree == 3
+
+
 def test_smooth_point_base_locus_note_always_present():
     rep = smooth_point_test(family(110))
     assert any("zero-dimensional" in n for n in rep.notes)

@@ -26,11 +26,23 @@ def test_no_module_imports_another_modules_private_names():
 
 
 def test_start_up_imports_no_heavy_standard_modules():
-    # a fresh interpreter without site-packages, as a cold CLI run starts
-    heavy = ("dataclasses", "inspect", "importlib.resources", "pathlib", "tempfile", "shutil")
+    # a fresh interpreter without site-packages, as a cold CLI run starts;
+    # parsing must not pull in shutil (argparse's own width lookup) either
+    heavy = (
+        "dataclasses",
+        "inspect",
+        "importlib.resources",
+        "pathlib",
+        "tempfile",
+        "shutil",
+        "bz2",
+        "lzma",
+        "zlib",
+    )
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import fano2ray.cli; "
         "fano2ray.catalog.load_catalog(); "
+        "fano2ray.cli.build_parser().parse_args(['verify', '--format', 'json']); "
         f"print(sorted(m for m in {heavy!r} if m in sys.modules))"
     )
     child = subprocess.run(

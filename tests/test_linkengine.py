@@ -87,6 +87,15 @@ def test_run_game_100_distinguished():
     assert not trace.unprojected
 
 
+def test_run_game_rejects_non_integer_tangent():
+    # the tangent 2.7 used to run the x2 game
+    rec = family(100)
+    entry = locate(rec, "p3")
+    with pytest.raises(TypeError):
+        run_game(rec, entry, 2.7)
+    assert run_game(rec, entry, 2) == run_game(rec, entry, "x2")
+
+
 def test_run_game_110_p4():
     rec = family(110)
     trace, outcome = run_game(rec, locate(rec, "p4"), "x2")

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from fano2ray.catalog import family
+from fano2ray.catalog import family, load_catalog
 from fano2ray.singular import (
     NotTerminal,
     Stratum,
@@ -148,20 +148,29 @@ def test_blowup_weights_110():
     assert p2.r == 5
 
 
+def scanned_exclusions(support, center, tangent):
+    # the definition as a scan of the support: the pure center power, and
+    # x_c^k * x_j with k >= 1, j not the tangent and exponent 1 on x_j
+    excluded = set()
+    for mono in support:
+        nonzero = [i for i, e in enumerate(mono) if e > 0]
+        if nonzero == [center]:
+            excluded.add(mono)
+        elif len(nonzero) == 2 and center in nonzero:
+            other = nonzero[0] if nonzero[1] == center else nonzero[1]
+            if other != tangent and mono[other] == 1 and mono[center] >= 1:
+                excluded.add(mono)
+    return excluded
+
+
 def brute_tangent_weight(rec, center, tangent, b):
     # naive re-derivation: minimal cost over support monomials avoiding the
     # tangent, after dropping pure center powers and other key monomials
     best = None
+    excluded = scanned_exclusions(rec.support(), center, tangent)
     for mono in rec.support():
-        if mono[tangent] != 0:
+        if mono[tangent] != 0 or mono in excluded:
             continue
-        nonzero = [i for i, e in enumerate(mono) if e > 0]
-        if nonzero == [center]:
-            continue
-        if len(nonzero) == 2 and center in nonzero:
-            other = [i for i in nonzero if i != center][0]
-            if mono[other] == 1:
-                continue
         cost = sum(e * b.get(i, 0) for i, e in enumerate(mono))
         best = cost if best is None else min(best, cost)
     return best
@@ -216,3 +225,16 @@ def test_blowup_weights_103_cube_point_all_games():
         for i, v in congruence.items():
             if i != tangent:
                 assert b[i] == v
+
+
+def test_excluded_monomials_match_the_support_scan_on_every_game():
+    games = 0
+    for rec in load_catalog():
+        for entry in singular_locus(rec):
+            for _, tangent in entry.tangent_candidates:
+                blow = blowup_weights(rec, entry, tangent)
+                assert blow.excluded == scanned_exclusions(rec.support(), entry.center, tangent)
+                assert blow.excluded <= rec.support()
+                games += 1
+    assert games == 87
+
