@@ -104,9 +104,10 @@ def well_form_weights(weights: Weights) -> Weights:
 
     Divides out the overall common factor, then repeatedly divides every
     common factor shared by all but one entry; the result is sorted
-    nondecreasing.
+    nondecreasing.  Weights must be integers (``operator.index``): a float
+    or a string raises :class:`TypeError`.
     """
-    ws = [int(w) for w in weights]
+    ws = [operator.index(w) for w in weights]
     if len(ws) < 2 or any(w <= 0 for w in ws):
         raise ValueError("need at least two positive weights")
     g = gcd(*ws)
@@ -177,13 +178,18 @@ class FamilyExpectations(NamedTuple):
 
 
 class FamilyRecord(NamedTuple):
-    """One catalog entry: ``X_degree`` in ``P(weights)`` plus expectation data."""
+    """One catalog entry: ``X_degree`` in ``P(weights)`` plus expectation data.
+
+    ``h_degree`` is the recorded cutting degree of the smooth-point test, or
+    ``None`` where the test uses its rule ``a1*a2*a3``.
+    """
 
     id: int
     weights: Weights
     degree: int
     rational: bool
     expected: FamilyExpectations
+    h_degree: int | None = None
 
     @property
     def index(self) -> int:
@@ -237,66 +243,73 @@ def _data_dir() -> str:
     return os.environ.get("FANO2RAY_DATA") or os.path.join(os.path.dirname(__file__), "data")
 
 
-def _data_lines(data_dir: str, name: str) -> list[str]:
-    with open(os.path.join(data_dir, name), encoding="utf-8") as f:
-        text = f.read()
-    out = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            out.append(line)
-    return out
+def _read_rows(data_dir: str, name: str, width: int, parse) -> list:
+    """``parse(*columns)`` of every data line of one data file.
+
+    Blank lines and ``#`` comments are skipped.  A line without exactly
+    ``width`` columns, or whose ``parse`` raises :class:`ValueError`, raises
+    :class:`CatalogError` naming the file and the line.
+    """
+    path = os.path.join(data_dir, name)
+    with open(path, encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    rows = []
+    for number, line in enumerate(lines, 1):
+        columns = line.split()
+        if not columns or columns[0].startswith("#"):
+            continue
+        try:
+            if len(columns) != width:
+                raise ValueError(f"expected {width} columns, got {len(columns)}")
+            rows.append(parse(*columns))
+        except ValueError as err:
+            raise CatalogError(f"{path}, line {number}: {err}") from err
+    return rows
 
 
-def _load_links(data_dir: str) -> dict[int, list[LinkExpectation]]:
-    table: dict[int, list[LinkExpectation]] = {}
-    for line in _data_lines(data_dir, "link_targets.txt"):
-        fam, point, ktype, label, tweights, tdegrees, construction = line.split()
-        exp = LinkExpectation(
-            family=int(fam),
-            point=point,
-            kawamata_type=_ints(ktype),  # type: ignore[arg-type]
-            label=label,
-            target_weights=_ints(tweights),
-            target_degrees=_ints(tdegrees),
-            construction=construction,
-        )
-        table.setdefault(exp.family, []).append(exp)
+def _by_family(rows: list) -> dict[int, tuple]:
+    table: dict[int, tuple] = {}
+    for exp in rows:
+        table[exp.family] = table.get(exp.family, ()) + (exp,)
     return table
 
 
-def _load_exclusions(data_dir: str) -> dict[int, list[ExclusionExpectation]]:
-    table: dict[int, list[ExclusionExpectation]] = {}
-    for line in _data_lines(data_dir, "exclusions.txt"):
-        fam, site, tangent, count, ltype, keys, blowup, corrected, verdict = line.split()
-        exp = ExclusionExpectation(
-            family=int(fam),
-            site=site,
-            tangent=tangent,
-            count=int(count),
-            local_type=_ints(ltype),  # type: ignore[arg-type]
-            keys=tuple(keys.split("|")),
-            blowup=blowup,
-            corrected_blowup=blowup if corrected == "=" else corrected,
-            verdict=verdict,
-        )
-        table.setdefault(exp.family, []).append(exp)
-    return table
+def _link_row(fam, point, ktype, label, tweights, tdegrees, construction) -> LinkExpectation:
+    return LinkExpectation(
+        family=int(fam),
+        point=point,
+        kawamata_type=_ints(ktype),  # type: ignore[arg-type]
+        label=label,
+        target_weights=_ints(tweights),
+        target_degrees=_ints(tdegrees),
+        construction=construction,
+    )
 
 
-def _load_matrices(data_dir: str) -> dict[int, list[MatrixExpectation]]:
-    table: dict[int, list[MatrixExpectation]] = {}
-    for line in _data_lines(data_dir, "reference_matrices.txt"):
-        fam, point, stage, labels, row1, row2 = line.split()
-        exp = MatrixExpectation(
-            family=int(fam),
-            point=point,
-            stage=stage,
-            labels=tuple(labels.split(",")),
-            rows=(_ints(row1), _ints(row2)),
-        )
-        table.setdefault(exp.family, []).append(exp)
-    return table
+def _exclusion_row(
+    fam, site, tangent, count, ltype, keys, blowup, corrected, verdict
+) -> ExclusionExpectation:
+    return ExclusionExpectation(
+        family=int(fam),
+        site=site,
+        tangent=tangent,
+        count=int(count),
+        local_type=_ints(ltype),  # type: ignore[arg-type]
+        keys=tuple(keys.split("|")),
+        blowup=blowup,
+        corrected_blowup=blowup if corrected == "=" else corrected,
+        verdict=verdict,
+    )
+
+
+def _matrix_row(fam, point, stage, labels, row1, row2) -> MatrixExpectation:
+    return MatrixExpectation(
+        family=int(fam),
+        point=point,
+        stage=stage,
+        labels=tuple(labels.split(",")),
+        rows=(_ints(row1), _ints(row2)),
+    )
 
 
 def _validate(records: tuple[FamilyRecord, ...]) -> None:
@@ -317,27 +330,31 @@ def _validate(records: tuple[FamilyRecord, ...]) -> None:
 
 @lru_cache(maxsize=None)
 def _load_catalog(data_dir: str) -> tuple[FamilyRecord, ...]:
-    links = _load_links(data_dir)
-    exclusions = _load_exclusions(data_dir)
-    matrices = _load_matrices(data_dir)
-    records = []
-    for line in _data_lines(data_dir, "families.txt"):
-        fam, weights, degree, rational = line.split()
+    links = _by_family(_read_rows(data_dir, "link_targets.txt", 7, _link_row))
+    exclusions = _by_family(_read_rows(data_dir, "exclusions.txt", 9, _exclusion_row))
+    matrices = _by_family(_read_rows(data_dir, "reference_matrices.txt", 6, _matrix_row))
+
+    def family_row(fam, weights, degree, rational, h) -> FamilyRecord:
+        if rational not in ("yes", "no"):
+            raise ValueError(f"rational must be yes or no, got {rational!r}")
+        h_degree = None if h == "-" else int(h)
+        if h_degree is not None and h_degree < 1:
+            raise ValueError(f"h must be a positive integer or -, got {h!r}")
         fam_id = int(fam)
-        expected = FamilyExpectations(
-            links=tuple(links.get(fam_id, ())),
-            exclusions=tuple(exclusions.get(fam_id, ())),
-            matrices=tuple(matrices.get(fam_id, ())),
+        return FamilyRecord(
+            id=fam_id,
+            weights=_ints(weights),
+            degree=int(degree),
+            rational=rational == "yes",
+            expected=FamilyExpectations(
+                links=links.get(fam_id, ()),
+                exclusions=exclusions.get(fam_id, ()),
+                matrices=matrices.get(fam_id, ()),
+            ),
+            h_degree=h_degree,
         )
-        records.append(
-            FamilyRecord(
-                id=fam_id,
-                weights=_ints(weights),
-                degree=int(degree),
-                rational={"yes": True, "no": False}[rational],
-                expected=expected,
-            )
-        )
+
+    records = _read_rows(data_dir, "families.txt", 5, family_row)
     records = tuple(sorted(records, key=lambda r: r.id))
     _validate(records)
     return records
@@ -349,7 +366,7 @@ def load_catalog() -> tuple[FamilyRecord, ...]:
 
 
 def family(family_id: int) -> FamilyRecord:
-    """Look up one family by its id in 96..130.
+    """Look up one family by its id, in the contiguous range of the loaded ids.
 
     The id must be an integer (``operator.index``): a float or a string
     raises :class:`TypeError`, an id out of range :class:`KeyError`.
@@ -359,6 +376,7 @@ def family(family_id: int) -> FamilyRecord:
     except TypeError:
         raise TypeError(f"family id must be an integer, got {family_id!r}") from None
     records = load_catalog()
-    if not 96 <= family_id <= 130:
-        raise KeyError(f"no family {family_id}; ids run 96..130")
-    return records[family_id - 96]
+    first, last = records[0].id, records[-1].id
+    if not first <= family_id <= last:
+        raise KeyError(f"no family {family_id}; ids run {first}..{last}")
+    return records[family_id - first]

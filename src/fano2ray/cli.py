@@ -22,7 +22,7 @@ from . import catalog as cat
 from . import exclusion, linkengine
 from .catalog import ambient_monomial_str, family, load_catalog
 from .singular import locate, singular_locus
-from .toric2ray import RankTwoModel
+from .toric2ray import DivisorialTarget, RankTwoModel
 
 USAGE_ERROR = 2
 
@@ -47,6 +47,17 @@ def _frac_str(value: dict) -> str:
 
 def _columns(model: RankTwoModel) -> list:
     return [[lab, [v[0], v[1]]] for lab, v in model.columns]
+
+
+def _end_model(model: DivisorialTarget | None, **extra) -> dict | None:
+    if model is None:
+        return None
+    return {
+        "weights": list(model.weights),
+        "degrees": list(model.degrees),
+        "display": str(model),
+        **extra,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +109,7 @@ def _analyze_report(record: cat.FamilyRecord) -> dict:
 
 
 def _step_dict(step) -> dict:
-    out = {
+    return {
         "wall": step.wall,
         "ambient": {
             "kind": step.ambient_kind,
@@ -112,16 +123,8 @@ def _step_dict(step) -> dict:
             else None,
             "witnesses": list(step.witnesses),
         },
-        "target": None,
+        "target": _end_model(step.target, contracted=step.contracted),
     }
-    if step.target is not None:
-        out["target"] = {
-            "weights": list(step.target.weights),
-            "degrees": list(step.target.degrees),
-            "contracted": step.target.contracted,
-            "display": str(step.target),
-        }
-    return out
 
 
 def _game_report(record: cat.FamilyRecord, point: str, tangent: str) -> dict:
@@ -143,14 +146,7 @@ def _game_report(record: cat.FamilyRecord, point: str, tangent: str) -> dict:
         "position": outcome.position,
         "outcome": {
             "kind": outcome.kind,
-            "target": {
-                "weights": list(outcome.model.weights),
-                "degrees": list(outcome.model.degrees),
-                "label": outcome.model.label,
-                "display": str(outcome.model),
-            }
-            if outcome.model
-            else None,
+            "target": _end_model(outcome.model, label=outcome.label),
             "warnings": list(outcome.warnings),
         },
     }

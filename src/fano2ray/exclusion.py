@@ -42,9 +42,10 @@ class ExclusionReport(NamedTuple):
 
 
 def default_h_degree(record: FamilyRecord) -> int:
-    """Cutting degree used by the smooth-point test when none is given."""
-    if record.id == 110:
-        return 15
+    """Cutting degree used by the smooth-point test when none is given: the
+    recorded ``h`` column of the catalog, else ``a1*a2*a3``."""
+    if record.h_degree is not None:
+        return record.h_degree
     a = record.weights
     return a[1] * a[2] * a[3]
 
@@ -100,7 +101,6 @@ class FibrationWitness(NamedTuple):
 
     family: int
     target: tuple[int, int]
-    index_check: bool
     kind: str  # "hypersurface" | "complete_intersection"
     ambient: Weights
     degrees: tuple[int, ...]
@@ -117,7 +117,6 @@ def fibration_witness(record: FamilyRecord) -> FibrationWitness | None:
         witness = FibrationWitness(
             family=record.id,
             target=(a[0], a[1]),
-            index_check=True,
             kind="complete_intersection",
             ambient=a,
             degrees=(record.degree, a[0] * a[1]),
@@ -128,7 +127,6 @@ def fibration_witness(record: FamilyRecord) -> FibrationWitness | None:
         witness = FibrationWitness(
             family=record.id,
             target=(a[0], a[1]),
-            index_check=True,
             kind="hypersurface",
             ambient=a[1:],
             degrees=(record.degree,),

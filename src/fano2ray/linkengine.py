@@ -7,6 +7,11 @@ equation sits in the irrelevant ideal, the restricted 2-ray game, and the
 final verdict read off from the position of the anticanonical class in the
 movable cone (interior: elementary link to a Fano model; boundary: bad link;
 outside: no link).  The returned :class:`GameTrace` carries every stage.
+There is one end-model value, the walk's own
+:class:`~fano2ray.toric2ray.DivisorialTarget`: an elementary link's
+``LinkOutcome.model`` is ``GameTrace.final_target``, checked against the
+Fano adjunction bound ``sum(degrees) < sum(weights)``, and the recorded
+singularity label of the link, if any, is ``LinkOutcome.label``.
 
 ``verify_tables`` runs each recorded (family, site, tangent) game once and
 reads every checked value off its trace, confirming the computed end models,
@@ -47,7 +52,6 @@ from .toric2ray import (
     Vec,
     WallStep,
     build_model,
-    end_model_str,
     match_recorded_grading,
     minus_k,
     movable_position,
@@ -70,41 +74,21 @@ class VerificationFailure(Exception):
 # running one game
 
 
-class _FanoModelFields(NamedTuple):
-    weights: tuple[int, ...]
-    degrees: tuple[int, ...]
-    label: str | None = None
-
-
-class FanoModel(_FanoModelFields):
-    """End model of an elementary link, with its expected singularity label.
-
-    A NamedTuple may not define ``__new__``, so the Fano adjunction check
-    lives on this subclass of the fields.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, weights, degrees, label=None):
-        if sum(degrees) >= sum(weights):
-            raise ValueError(f"Z_{degrees} in P{weights} fails the Fano adjunction bound")
-        return super().__new__(cls, weights, degrees, label)
-
-    def __str__(self) -> str:
-        return end_model_str(self.weights, self.degrees)
-
-
 class LinkOutcome(NamedTuple):
     """Verdict of one game; an elementary link always carries its Fano model.
 
     ``kind`` is ``elementary_link``, ``bad_link`` or ``no_link`` for every
     game of the classified families; games run on other catalog families can
     additionally end in a ``fibration`` (interior anticanonical class but a
-    multi-ray final boundary instead of a divisorial contraction).
+    multi-ray final boundary instead of a divisorial contraction).  An
+    elementary link's ``model`` is the walk's final target (the same object
+    as ``GameTrace.final_target``) and its ``label`` the singularity label
+    recorded for a link from that point, if any; both are ``None`` otherwise.
     """
 
     kind: str
-    model: FanoModel | None
+    model: DivisorialTarget | None
+    label: str | None
     minus_k: Vec
     position: str
     warnings: tuple[str, ...] = ()
@@ -128,17 +112,8 @@ class GameTrace(NamedTuple):
 
     @property
     def final_target(self) -> DivisorialTarget | None:
-        for step in self.steps:
-            if step.restricted_kind == "divisorial":
-                return step.target
-        return None
-
-
-def _expected_label(record: FamilyRecord, point: str) -> str | None:
-    for exp in record.expected.links:
-        if exp.point == point:
-            return exp.label
-    return None
+        """End model of the divisorial contraction, always the last step."""
+        return self.steps[-1].target if self.steps else None
 
 
 def run_game(
@@ -151,30 +126,36 @@ def run_game(
     pieces = needs_unprojection(raw)
     raw_unprojected = unproject(raw, pieces) if pieces else None
     game_model = well_form_model(raw_unprojected) if pieces else wf
-    steps = restrict_walk(game_model)
-
-    divisorial = [i for i, s in enumerate(steps) if s.restricted_kind == "divisorial"]
-    if len(divisorial) > 1 or (divisorial and divisorial[0] != len(steps) - 1):
+    trace = GameTrace(
+        blowup=blow,
+        raw=raw,
+        well_formed=wf,
+        raw_unprojected=raw_unprojected,
+        game_model=game_model,
+        steps=restrict_walk(game_model),
+    )
+    if any(s.target for s in trace.steps[:-1]):
         raise LatticeError("divisorial step must be unique and last")
 
     mk = minus_k(game_model)
     position = movable_position(game_model, mk)
     warnings: list[str] = []
-    if any(s.restricted_kind == "indeterminate" for s in steps):
+    if any(s.restricted_kind == "indeterminate" for s in trace.steps):
         warnings.append(
             "some wall crossings are indeterminate; the verdict rests on the "
             "anticanonical position alone"
         )
-    model = None
+    model = label = None
     if position == "interior":
-        if divisorial:
+        if trace.final_target:
             kind = "elementary_link"
-            target = steps[divisorial[0]].target
-            model = FanoModel(
-                weights=target.weights,
-                degrees=target.degrees,
-                label=_expected_label(record, entry.site.label),
-            )
+            model = trace.final_target
+            if sum(model.degrees) >= sum(model.weights):
+                raise ValueError(
+                    f"Z_{model.degrees} in P{model.weights} fails the Fano adjunction bound"
+                )
+            point = entry.site.label
+            label = next((e.label for e in record.expected.links if e.point == point), None)
         else:
             # the walk ran off a multi-ray boundary instead of contracting a
             # divisor; the 2-ray game ends in a fibration, not a Fano model
@@ -187,16 +168,13 @@ def run_game(
         kind = "bad_link"
     else:
         kind = "no_link"
-    trace = GameTrace(
-        blowup=blow,
-        raw=raw,
-        well_formed=wf,
-        raw_unprojected=raw_unprojected,
-        game_model=game_model,
-        steps=steps,
-    )
     return trace, LinkOutcome(
-        kind=kind, model=model, minus_k=mk, position=position, warnings=tuple(warnings)
+        kind=kind,
+        model=model,
+        label=label,
+        minus_k=mk,
+        position=position,
+        warnings=tuple(warnings),
     )
 
 
@@ -311,13 +289,9 @@ def _check_links(records, games: dict, report: Report) -> None:
             trace, outcome = _replay_game(games, record, exp.point)
             target = trace.final_target
             computed = str(target) if target else "(no divisorial contraction)"
-            expected = end_model_str(exp.target_weights, sorted(exp.target_degrees))
-            matched = (
-                outcome.kind == "elementary_link"
-                and target is not None
-                and target.weights == exp.target_weights
-                and target.degrees == tuple(sorted(exp.target_degrees))
-                and trace.unprojected == (exp.construction == "unprojection")
+            expected = DivisorialTarget(exp.target_weights, tuple(sorted(exp.target_degrees)))
+            matched = outcome.model == expected and trace.unprojected == (
+                exp.construction == "unprojection"
             )
             if not matched:
                 report.failures.append(
@@ -339,7 +313,7 @@ def _check_links(records, games: dict, report: Report) -> None:
                     "family": record.id,
                     "point": exp.point,
                     "label": exp.label,
-                    "expected": expected,
+                    "expected": str(expected),
                     "computed": computed,
                     "unprojected": trace.unprojected,
                     "matched": matched,
@@ -508,7 +482,6 @@ def verify_tables() -> Report:
 
 __all__ = [
     "Deviation",
-    "FanoModel",
     "GameTrace",
     "LinkOutcome",
     "Report",

@@ -378,20 +378,18 @@ def unproject(model: RankTwoModel, pieces: UnprojectionData) -> RankTwoModel:
 # walls and the ambient walk
 
 
-def end_model_str(weights, degrees) -> str:
-    """``Z_{d...} ⊂ P(w...)``: an end model by its degrees and weights."""
-    return f"Z_{{{','.join(map(str, degrees))}}} ⊂ P({','.join(map(str, weights))})"
-
-
 class DivisorialTarget(NamedTuple):
-    """End model of the final divisorial contraction."""
+    """End model ``Z_{d...} ⊂ P(w...)`` of a divisorial contraction: its
+    well-formed weights and sorted degrees.  The one end-model value: the
+    divisorial step of a walk carries it, and an elementary link's outcome
+    is that same object."""
 
     weights: tuple[int, ...]
     degrees: tuple[int, ...]
-    contracted: str
 
     def __str__(self) -> str:
-        return end_model_str(self.weights, self.degrees)
+        degrees, weights = (",".join(map(str, v)) for v in (self.degrees, self.weights))
+        return f"Z_{{{degrees}}} ⊂ P({weights})"
 
 
 class WallStep(NamedTuple):
@@ -567,7 +565,7 @@ def divisorial_target(model: RankTwoModel, wall: str) -> DivisorialTarget:
         raise LatticeError(
             f"target weights {weights} well-form to {formed}; degree data would be stale"
         )
-    return DivisorialTarget(weights=formed, degrees=degrees, contracted=beyond[0])
+    return DivisorialTarget(weights=formed, degrees=degrees)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import re
+import shutil
 from fractions import Fraction
 from math import gcd, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+import fano2ray
 from fano2ray import catalog
 from fano2ray.catalog import (
+    CatalogError,
     anticanonical_cube,
     family,
     fano_index,
@@ -18,6 +23,7 @@ from fano2ray.catalog import (
     weighted_degree,
     well_form_weights,
 )
+from fano2ray.cli import main
 
 from expected import SOLID_CANDIDATES
 
@@ -173,6 +179,44 @@ def test_well_form_weights_examples():
     assert well_form_weights((1, 3, 5, 1, 1)) == (1, 1, 1, 3, 5)
     assert well_form_weights((7, 21, 7, 14, 7)) == (1, 1, 1, 2, 3)
     assert well_form_weights((2, 4, 6)) == (1, 2, 3)
+
+
+def test_well_form_weights_rejects_non_integers():
+    # int() used to truncate 4.7 to 4 and to accept strings
+    with pytest.raises(TypeError):
+        well_form_weights((2, 4.7, 6))
+    with pytest.raises(TypeError):
+        well_form_weights(("2", "4", "6"))
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("110 1,3,5,7,8 21", "expected 5 columns, got 3"),
+        ("110 1,3,5,7,8 21 no 15 1", "expected 5 columns, got 6"),
+        ("110 1,3,5,7,8 21 maybe 15", "'maybe'"),
+        ("110 1,3,5,7,8 21 no fifteen", "'fifteen'"),
+        ("110 1,3,5,7,8 21 no 0", "h must be a positive integer or -, got '0'"),
+    ],
+)
+def test_unreadable_family_line_names_file_and_line(
+    tmp_path, monkeypatch, capsys, line, message
+):
+    data = tmp_path / "data"
+    shutil.copytree(Path(fano2ray.__file__).parent / "data", data)
+    path = data / "families.txt"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    number = next(n for n, text in enumerate(lines, 1) if text.startswith("110 "))
+    lines[number - 1] = line
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    monkeypatch.setenv("FANO2RAY_DATA", str(data))
+
+    where = f"{path}, line {number}: "
+    with pytest.raises(CatalogError, match=re.escape(where) + ".*" + re.escape(message)):
+        load_catalog()
+    assert main(["catalog"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}") and message in err
 
 
 def test_catalog_weights_are_well_formed():

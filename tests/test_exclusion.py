@@ -92,7 +92,6 @@ def test_fibration_witness_hypersurface_case():
     assert w.ambient == (1, 1, 1, 1)
     assert w.degrees == (2,)
     assert w.fibre_canonical_degree == -2
-    assert w.index_check
 
 
 def test_fibration_witness_complete_intersection_case():

@@ -53,3 +53,24 @@ def test_start_up_imports_no_heavy_standard_modules():
         timeout=60,
     )
     assert child.stdout.strip() == "[]"
+
+
+def _is_int_literal(node: ast.expr) -> bool:
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return bool(node.elts) and all(map(_is_int_literal, node.elts))
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
+def test_no_module_compares_a_record_id_with_an_integer_literal():
+    # family ids are data: a rule or a data column decides, not `record.id == 110`
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            if any(isinstance(op, ast.Attribute) and op.attr == "id" for op in operands) and any(
+                map(_is_int_literal, operands)
+            ):
+                offenders.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert offenders == []

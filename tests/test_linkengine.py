@@ -1,18 +1,14 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from fano2ray import linkengine
 from fano2ray.catalog import family, load_catalog
-from fano2ray.linkengine import (
-    FanoModel,
-    needs_unprojection,
-    run_game,
-    unproject,
-    verify_tables,
-)
+from fano2ray.linkengine import needs_unprojection, run_game, unproject, verify_tables
 from fano2ray.singular import blowup_weights, locate, singular_locus
-from fano2ray.toric2ray import MONO_VARIABLES, build_model, well_form_model
+from fano2ray.toric2ray import MONO_VARIABLES, build_model, restrict_walk, well_form_model
 
 
 def raw_model(fid, point, tangent):
@@ -82,7 +78,7 @@ def test_run_game_100_distinguished():
     assert outcome.kind == "elementary_link"
     assert outcome.model.weights == (1, 1, 1, 3, 5)
     assert outcome.model.degrees == (10,)
-    assert outcome.model.label == "cE6"
+    assert outcome.label == "cE6"
     assert outcome.position == "interior"
     assert not trace.unprojected
 
@@ -105,7 +101,7 @@ def test_run_game_110_p4():
     assert flip.restricted_values() == (5, 1, -3, -2)
     assert outcome.model.weights == (1, 1, 1, 2, 3)
     assert outcome.model.degrees == (7,)
-    assert outcome.model.label == "cE7"
+    assert outcome.label == "cE7"
 
 
 def test_run_game_101_third_point_bad_link():
@@ -167,23 +163,48 @@ def test_run_game_fibration_ending_outside_classified_families():
     assert all(s.restricted_kind != "divisorial" for s in trace.steps)
 
 
-def test_fano_model_adjunction_guard():
-    with pytest.raises(ValueError):
-        FanoModel(weights=(1, 1, 1, 2, 5), degrees=(10,))
+def test_fano_model_adjunction_guard(monkeypatch):
+    # the no_link 103 p1 x3 contracts to Z_10 in P(1,1,1,2,5), which fails
+    # adjunction; run_game refuses it as the end model of an elementary link
+    rec = family(103)
+    trace, outcome = run_game(rec, locate(rec, "p1"), "x3")
+    bad = trace.final_target
+    assert outcome.kind == "no_link" and outcome.model is None
+    assert (bad.weights, bad.degrees) == ((1, 1, 1, 2, 5), (10,))
+
+    def walk_to_bad_target(model):
+        steps = restrict_walk(model)
+        return (*steps[:-1], steps[-1]._replace(target=bad))
+
+    monkeypatch.setattr(linkengine, "restrict_walk", walk_to_bad_target)
+    rec = family(100)
+    message = "Z_(10,) in P(1, 1, 1, 2, 5) fails the Fano adjunction bound"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_game(rec, locate(rec, "p3"), "x2")
 
 
 def test_elementary_links_satisfy_adjunction():
-    for fid, point, tangent in [
-        (100, "p3", "x2"),
-        (101, "p3", "x0"),
-        (102, "p3", "x2"),
-        (103, "p3", "x2"),
-        (110, "p4", "x2"),
-        (110, "p2", "x0"),
-    ]:
-        rec = family(fid)
-        _, outcome = run_game(rec, locate(rec, point), tangent)
-        assert sum(outcome.model.degrees) < sum(outcome.model.weights)
+    # every elementary link of the 87 games; only the six recorded
+    # (family, point) links carry a label
+    recorded = {
+        (exp.family, exp.point): exp.label
+        for rec in load_catalog()
+        for exp in rec.expected.links
+    }
+    labels = []
+    for rec in load_catalog():
+        for entry in singular_locus(rec):
+            for _, tangent in entry.tangent_candidates:
+                trace, outcome = run_game(rec, entry, tangent)
+                if outcome.kind != "elementary_link":
+                    continue
+                assert sum(outcome.model.degrees) < sum(outcome.model.weights)
+                assert outcome.model is trace.final_target
+                label = outcome.label
+                assert label == recorded.get((rec.id, entry.site.label))
+                labels.append(label)
+    assert len(labels) == 55
+    assert sum(label is not None for label in labels) == len(recorded) == 6
 
 
 def test_verify_tables_matches_everything():
