@@ -45,45 +45,68 @@ def fano_index(weights: Weights, degree: int) -> int:
     """Fano index ``sum(weights) - degree`` of a degree-``degree`` hypersurface.
 
     A non-positive return value signals a non-Fano input; catalog loading
-    rejects such records.
+    rejects such records.  Inputs must be integers (``operator.index``): a
+    float or a string raises :class:`TypeError`, a non-positive weight
+    :class:`ValueError`.
     """
-    weights = tuple(weights)
+    weights = tuple(map(operator.index, weights))
+    degree = operator.index(degree)
     if len(weights) != 5:
         raise ValueError(f"expected 5 ambient weights, got {len(weights)}")
+    if any(w <= 0 for w in weights):
+        raise ValueError("weights must be positive")
     if degree < 1:
         raise ValueError("degree must be positive")
     return sum(weights) - degree
 
 
-@lru_cache(maxsize=None)
+# Bounded so that a scan over many candidates does not keep every support it
+# has seen; a sweep plus ``verify`` reads 46 (the 35 families and 11 weight
+# pairs of singular strata), well within the bound.
+@lru_cache(maxsize=128)
 def _support(weights: Weights, degree: int) -> frozenset[Monomial]:
-    if not weights:
-        return frozenset({()}) if degree == 0 else frozenset()
     if degree < 0:
         return frozenset()
-    n = len(weights)
-    light = min(range(n), key=weights.__getitem__)
-    rest = sorted((i for i in range(n) if i != light), key=weights.__getitem__, reverse=True)
-    least = weights[light]
-    # vectors are built in the order (*rest, light); itemgetter puts them back
-    # in positional order (with one index it would return the bare entry)
-    inverse = sorted(range(n), key=(*rest, light).__getitem__)
-    positional = operator.itemgetter(*inverse) if n > 1 else tuple
+    if len(weights) < 2:
+        if not weights:
+            return frozenset({()}) if degree == 0 else frozenset()
+        (w,) = weights
+        return frozenset({(degree // w,)}) if degree % w == 0 else frozenset()
+    order = sorted(range(len(weights)), key=weights.__getitem__)
+    least, w2 = weights[order[0]], weights[order[1]]
+    # each exponent is prepended, so a vector lists its exponents by ``order``,
+    # which is positional when the weights are nondecreasing (every family)
     partial = [(degree, ())]
-    for i in rest:
+    for i in reversed(order[2:]):
         w = weights[i]
-        partial = [(r - e * w, exps + (e,)) for r, exps in partial for e in range(r // w + 1)]
-    return frozenset(positional(exps + (r // least,)) for r, exps in partial if r % least == 0)
+        partial = [(r - e * w, (e,) + exps) for r, exps in partial for e in range(r // w + 1)]
+    # e*w2 + f*least == r needs g | r; then e runs over one residue class
+    # mod least // g and f is forced
+    g = gcd(w2, least)
+    m = least // g
+    inverse = pow(w2 // g, -1, m)
+    vectors = (
+        ((r - e * w2) // least, e) + exps
+        for r, exps in partial
+        if r % g == 0
+        for e in range(r // g * inverse % m, r // w2 + 1, m)
+    )
+    if order != sorted(order):
+        positional = operator.itemgetter(*sorted(range(len(order)), key=order.__getitem__))
+        vectors = map(positional, vectors)
+    return frozenset(vectors)
 
 
 def monomial_support(weights: Weights, degree: int) -> frozenset[Monomial]:
     """All exponent vectors ``e`` with ``sum(e_i * weights_i) == degree``.
 
-    The exponents of all variables but one of least weight are enumerated,
-    heaviest weight first, carrying the residual degree; the exponent of the
-    lightest variable is then forced, and a partial vector is kept only when
-    its residual is divisible by the least weight.  Only whole supports are
-    cached, keyed by ``(weights, degree)``.
+    The exponents of all variables but the two lightest are enumerated,
+    heaviest weight first, carrying the residual degree ``r``.  The last two
+    exponents solve ``e * w2 + f * least == r``, with ``w2`` the second-least
+    weight: there is a solution only when ``g = gcd(w2, least)`` divides
+    ``r``, and then ``e`` runs over one residue class modulo ``least // g``
+    and ``f`` is forced, so every vector built is kept.  Only whole supports
+    are cached, keyed by ``(weights, degree)``, in a cache of bounded size.
 
     Inputs must be integers (``operator.index``): a float or a string raises
     :class:`TypeError`, a non-positive weight :class:`ValueError`.  The empty

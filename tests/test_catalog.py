@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import operator
+import random
 import re
 import shutil
 from fractions import Fraction
@@ -38,6 +40,26 @@ def coin_change_count(weights, degree):
         for total in range(w, degree + 1):
             ways[total] += ways[total - w]
     return ways[degree]
+
+
+def reference_support(weights, degree):
+    # the previous enumeration: every exponent but one of least weight,
+    # filtered by divisibility, each vector permuted back into position
+    if not weights:
+        return frozenset({()}) if degree == 0 else frozenset()
+    if degree < 0:
+        return frozenset()
+    n = len(weights)
+    light = min(range(n), key=weights.__getitem__)
+    rest = sorted((i for i in range(n) if i != light), key=weights.__getitem__, reverse=True)
+    least = weights[light]
+    inverse = sorted(range(n), key=(*rest, light).__getitem__)
+    positional = operator.itemgetter(*inverse) if n > 1 else tuple
+    partial = [(degree, ())]
+    for i in rest:
+        w = weights[i]
+        partial = [(r - e * w, exps + (e,)) for r, exps in partial for e in range(r // w + 1)]
+    return frozenset(positional(exps + (r // least,)) for r, exps in partial if r % least == 0)
 
 
 def brute_support(weights, degree):
@@ -86,6 +108,20 @@ def test_fano_index_validation():
         fano_index((1, 1, 1, 1, 1), 0)
 
 
+def test_fano_index_rejects_non_integers():
+    # the index came back as 2.5 and 3.5 for these
+    with pytest.raises(TypeError):
+        fano_index((1, 1, 1, 1, 1), 2.5)
+    with pytest.raises(TypeError):
+        fano_index((1, 1, 1, 1.5, 1), 2)
+    with pytest.raises(TypeError):
+        fano_index((1, 1, 1, "1", 1), 2)
+    with pytest.raises(ValueError):
+        fano_index((1, 1, 0, 1, 1), 2)
+    with pytest.raises(ValueError):
+        fano_index((1, 1, -1, 1, 1), 2)
+
+
 def test_stored_index_matches_recomputation():
     for r in load_catalog():
         assert fano_index(r.weights, r.degree) == r.index
@@ -130,6 +166,10 @@ def test_monomial_support_against_brute_force(fid):
 @example([4], 8)
 @example([3, 1, 2, 1], 9)  # the least weight is tied and not first
 @example([5, 7, 2, 9, 2, 3], 41)
+@example([6, 4], 11)  # gcd 2 of the two lightest does not divide the degree
+@example([3, 3, 5], 11)  # the two lightest weights are tied
+@example([5, 1, 3, 2], 13)  # unsorted, so vectors are permuted into position
+@example([4, 6], 10)  # two weights, no heavy exponent
 def test_monomial_support_matches_coin_change_count(weights, degree):
     count = coin_change_count(weights, degree)
     assume(count <= 3000)
@@ -140,6 +180,21 @@ def test_monomial_support_matches_coin_change_count(weights, degree):
         assert weighted_degree(weights, mono) == degree
     # a frozenset holds no duplicates; so compare its size with the count
     assert len(sup) == count
+
+
+def test_monomial_support_matches_reference_on_seeded_candidates():
+    # every shape: 0-6 weights, unsorted and tied, negative to large degrees,
+    # plus sorted five-weight candidates of Fano index 2..20
+    rng = random.Random(20)
+    candidates = [
+        (tuple(rng.randint(1, 12) for _ in range(rng.randint(0, 6))), rng.randint(-2, 40))
+        for _ in range(2000)
+    ]
+    while len(candidates) < 3000:
+        weights = tuple(sorted(rng.randint(1, 20) for _ in range(5)))
+        candidates.append((weights, sum(weights) - rng.randint(2, 20)))
+    for weights, degree in candidates:
+        assert monomial_support(weights, degree) == reference_support(weights, degree)
 
 
 def test_monomial_support_rejects_non_integers():
@@ -173,6 +228,15 @@ def test_support_cache_holds_whole_supports_only():
     catalog._support.cache_clear()
     monomial_support(rec.weights, rec.degree)
     assert catalog._support.cache_info().currsize == 1
+
+
+def test_support_cache_is_bounded():
+    bound = catalog._support.cache_info().maxsize
+    assert bound is not None
+    catalog._support.cache_clear()
+    for weight in range(1, 2 * bound + 1):
+        monomial_support((1, weight), 1)
+    assert catalog._support.cache_info().currsize <= bound
 
 
 def test_well_form_weights_examples():
