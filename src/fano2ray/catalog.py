@@ -61,8 +61,8 @@ def fano_index(weights: Weights, degree: int) -> int:
 
 
 # Bounded so that a scan over many candidates does not keep every support it
-# has seen; a sweep plus ``verify`` reads 46 (the 35 families and 11 weight
-# pairs of singular strata), well within the bound.
+# has seen; a sweep plus ``verify`` reads 50 (the 35 families, 11 weight pairs
+# of singular strata and 4 supports of wall multiples), well within the bound.
 @lru_cache(maxsize=128)
 def _support(weights: Weights, degree: int) -> frozenset[Monomial]:
     if degree < 0:

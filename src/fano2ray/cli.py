@@ -21,7 +21,7 @@ from typing import NamedTuple
 from . import catalog as cat
 from . import exclusion, linkengine
 from .catalog import ambient_monomial_str, family, load_catalog
-from .singular import locate, singular_locus
+from .singular import SingularLocusEntry, locate, singular_locus
 from .toric2ray import DivisorialTarget, RankTwoModel
 
 USAGE_ERROR = 2
@@ -127,13 +127,12 @@ def _step_dict(step) -> dict:
     }
 
 
-def _game_report(record: cat.FamilyRecord, point: str, tangent: str) -> dict:
-    entry = locate(record, point)
+def _game_report(record: cat.FamilyRecord, entry: SingularLocusEntry, tangent: str) -> dict:
     trace, outcome = linkengine.run_game(record, entry, tangent)
     return {
         "verb": "game",
         "family": record.id,
-        "point": point,
+        "point": entry.site.label,
         "tangent": tangent,
         "unprojected": trace.unprojected,
         "models": {
@@ -242,7 +241,7 @@ def run(command: Command) -> tuple[int, dict]:
                     f"{command.point} has several tangent candidates; pass --tangent"
                 )
             tangent = f"x{entry.tangent_candidates[0][1]}"
-        return 0, _game_report(record, command.point, tangent)
+        return 0, _game_report(record, entry, tangent)
     if command.verb == "exclude":
         return 0, _exclude_report(family(command.family))
     if command.verb == "verify":

@@ -38,7 +38,7 @@ from math import gcd
 from operator import itemgetter, mul
 from typing import NamedTuple
 
-from .catalog import FamilyRecord, well_form_weights
+from .catalog import FamilyRecord, Weights, monomial_support, well_form_weights
 from .singular import BlowupData
 
 Vec = tuple[int, int]
@@ -46,6 +46,10 @@ Vec = tuple[int, int]
 MONO_VARIABLES = ("u", "y0", "y1", "y2", "y3", "y4", "y")
 #: A transformed monomial: one exponent per entry of :data:`MONO_VARIABLES`.
 Mono = tuple[int, ...]
+_ZERO: Mono = (0,) * len(MONO_VARIABLES)
+_UNIT: dict[str, Mono] = {
+    lab: tuple(int(v == lab) for v in MONO_VARIABLES) for lab in MONO_VARIABLES
+}
 
 
 class NonHomogeneous(ValueError):
@@ -200,24 +204,39 @@ def build_model(record: FamilyRecord, blow: BlowupData) -> RankTwoModel:
     monomials dropped): each monomial acquires the ``u``-exponent
     ``(cost - mu) / r`` where ``cost = sum(e_i b_i)`` and ``mu`` is the
     minimal cost over the support.
+
+    The costs (one dot product with ``b`` per monomial) give ``mu``; then one
+    pass over the working support builds every transformed vector and checks
+    its bidegree.  Its row-two degree is ``mu`` plus the remainder of
+    ``cost - mu`` mod ``r``, so the congruence is the row-two check; its
+    row-one degree is tested against ``record.degree``.  The bidegree is
+    ``(record.degree, mu)``.  An empty working support, a cost off the
+    congruence class or a monomial of another degree raises
+    :class:`NonHomogeneous`.
     """
-    w, b, r = record.weights, blow.b, blow.r
+    w, b, r, degree = record.weights, blow.b, blow.r, record.degree
     columns = _sort_columns(
         [("u", (0, -r))] + [(f"y{i}", (w[i], b[i])) for i in range(len(w))]
     )
 
-    working = record.support() - blow.excluded
-    cost = {m: sum(map(mul, m, b)) for m in working}
-    mu = min(cost.values())
+    working = tuple(record.support() - blow.excluded)
+    if not working:
+        raise NonHomogeneous("empty equation support")
+    costs = [sum(map(mul, m, b)) for m in working]
+    mu = min(costs)
     support = []
-    for m, k in cost.items():
+    for m, k in zip(working, costs):
         u, rem = divmod(k - mu, r)
         if rem:
             raise NonHomogeneous(
                 f"monomial cost {k} not congruent to the multiplicity {mu} mod {r}"
             )
+        if sum(map(mul, m, w)) != degree:
+            raise NonHomogeneous(f"monomial {m} is not of degree {degree}")
         support.append((u, *m, 0))
-    equation = _make_equation(support, dict(columns))
+    if 0 not in map(itemgetter(0), support):
+        raise NonHomogeneous("u divides every monomial (not a proper transform)")
+    equation = TransformedEquation(support=frozenset(support), bidegree=(degree, mu))
     return RankTwoModel(columns=columns, equations=(equation,), center=f"y{blow.center_index}")
 
 
@@ -454,28 +473,63 @@ def ambient_walk(model: RankTwoModel) -> tuple[WallStep, ...]:
     return tuple(steps)
 
 
+def _multiple(v: Vec, d: Vec) -> int | None:
+    """The integer ``n`` with ``v == n * d`` (``d`` primitive), or ``None``."""
+    if det2(v, d):
+        return None
+    return (v[0] * d[0] + v[1] * d[1]) // (d[0] * d[0] + d[1] * d[1])
+
+
+def _wall_monomials(
+    base: Mono, rest: Vec, d: Vec, positions: tuple[int, ...], multiples: Weights
+) -> list[Mono]:
+    """Every ``base * w`` with ``w`` a monomial of bidegree ``rest`` in the
+    wall variables: the one at exponent position ``positions[j]`` has the
+    column ``multiples[j] * d``, so ``w`` exists only when ``rest == n * d``
+    with ``n >= 0``, and its exponents are the ``(multiples, n)`` support."""
+    n = _multiple(rest, d)
+    if n is None or n < 0:
+        return []
+    if len(positions) > 1:
+        exponents = monomial_support(multiples, n)
+    elif n % multiples[0]:
+        return []
+    else:
+        exponents = ((n // multiples[0],),)
+    out = []
+    for exps in exponents:
+        m = list(base)
+        for i, e in zip(positions, exps):
+            m[i] += e
+        out.append(tuple(m))
+    return out
+
+
 def restrict_walk(model: RankTwoModel) -> tuple[WallStep, ...]:
     """Fill in the restricted classification of every wall crossing.
 
     Iso: some equation has a monomial supported on the wall variables alone
     (the restricted variety misses the modified locus); the witness is the
     least such monomial of the first such equation, in lexicographic order of
-    the labelled factor sequences.  Every wall column is a positive multiple
-    of the wall direction, so only an equation whose bidegree is one can hold
-    such a monomial; the supports of the others are not scanned.  Flip/flop:
-    every equation has a monomial ``v * wall^k`` linear in a pre-crossing
-    off-wall variable ``v``, so each such ``v`` is eliminated (the least such
-    monomial is the witness) and its weight dropped from the ambient local
-    weights; the result is an Atiyah flop exactly when the remaining weights
-    are ``(1,1,-1,-1)`` up to order.  A crossing where no rule applies stays
-    indeterminate; the final verdict then rests on the anticanonical position
-    alone.
+    the labelled factor sequences.  Flip/flop: every equation has a monomial
+    ``v * wall^k`` linear in a pre-crossing off-wall variable ``v``, so each
+    such ``v`` is eliminated (the least such monomial is the witness) and its
+    weight dropped from the ambient local weights; the result is an Atiyah
+    flop exactly when the remaining weights are ``(1,1,-1,-1)`` up to order.
+    A crossing where no rule applies stays indeterminate; the final verdict
+    then rests on the anticanonical position alone.
 
-    Both scans read a monomial's off-wall exponents with one ``itemgetter``
-    per wall: a monomial lies on the wall when they are all zero, and is
-    linear in exactly one off-wall variable when they sum to 1.
+    These monomials are looked up in the support, not scanned for.  Every
+    wall column is ``c_j * d`` for the wall direction ``d``, and every
+    monomial of an equation has the equation's bidegree.  So the iso
+    candidates are the wall monomials of degree ``n = bidegree / d``: the
+    single ``x^(n/c)`` on a one-variable wall, the ``(c, n)`` support of
+    :func:`~fano2ray.catalog.monomial_support` on a wall of several.  The
+    candidates linear in ``v`` are ``v`` times the wall monomials of degree
+    ``(bidegree - column_v) / d``.
     """
     groups, index_of = model.walls
+    cols = model.column_map()
     steps = []
     for step in ambient_walk(model):
         wall_gi = index_of[step.wall]
@@ -486,19 +540,18 @@ def restrict_walk(model: RankTwoModel) -> tuple[WallStep, ...]:
                 )
             )
             continue
-        off_wall = [
-            i for i, lab in enumerate(MONO_VARIABLES) if lab not in step.wall_variables
-        ]
-        # u, the center and a ray beyond the wall are always off it, so ``off``
-        # has at least three positions and always returns a tuple
-        off = itemgetter(*off_wall)
         d = groups[wall_gi].direction
+        wall = (
+            tuple(MONO_VARIABLES.index(lab) for lab in step.wall_variables),
+            tuple(_multiple(cols[lab], d) for lab in step.wall_variables),
+        )
         iso_witness = None
         for eq in model.equations:
-            b = eq.bidegree
-            if det2(b, d) or b[0] * d[0] + b[1] * d[1] <= 0:
-                continue  # not a positive multiple of the wall direction
-            found = [m for m in eq.support if not any(off(m)) and any(m)]
+            found = [
+                m
+                for m in _wall_monomials(_ZERO, eq.bidegree, d, *wall)
+                if m in eq.support and any(m)
+            ]
             if found:
                 iso_witness = min(found, key=_factors)
                 break
@@ -510,15 +563,14 @@ def restrict_walk(model: RankTwoModel) -> tuple[WallStep, ...]:
         eliminated: list[str] = []
         witnesses: list[str] = []
         for eq in model.equations:
-            linear = []
-            for m in eq.support:
-                exponents = off(m)
-                # exponents are non-negative: one off-wall variable, linearly
-                if sum(exponents) != 1:
-                    continue
-                lab = MONO_VARIABLES[off_wall[exponents.index(1)]]
-                if index_of[lab] < wall_gi and lab not in eliminated:
-                    linear.append((lab, m))
+            b = eq.bidegree
+            linear = [
+                (lab, m)
+                for lab, v in model.columns
+                if index_of[lab] < wall_gi and lab not in eliminated
+                for m in _wall_monomials(_UNIT[lab], (b[0] - v[0], b[1] - v[1]), d, *wall)
+                if m in eq.support
+            ]
             if not linear:
                 eliminated = []
                 break

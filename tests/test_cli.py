@@ -12,7 +12,9 @@ import pytest
 
 import fano2ray
 from fano2ray.cli import Command, build_parser, main, run, serialize
+from fano2ray import singular
 from fano2ray.linkengine import VerificationFailure, verify_tables
+from fano2ray.singular import singular_locus
 
 
 def test_verify_json_roundtrip_and_status():
@@ -78,6 +80,23 @@ def test_game_tangent_inferred_when_unique():
     status, report = run(Command(verb="game", family=110, point="p4"))
     assert status == 0
     assert report["tangent"] == "x2"
+
+
+@pytest.mark.parametrize("tangent", ["x2", None])
+def test_game_locates_its_site_once(monkeypatch, tangent):
+    # `run` locates the site to infer the tangent; the report reuses that
+    # entry instead of computing the singular locus again
+    calls = []
+
+    def counting_singular_locus(record):
+        calls.append(record.id)
+        return singular_locus(record)
+
+    monkeypatch.setattr(singular, "singular_locus", counting_singular_locus)
+    status, report = run(Command(verb="game", family=110, point="p4", tangent=tangent))
+    assert status == 0
+    assert report["point"] == "p4"
+    assert calls == [110]
 
 
 def test_game_multi_tangent_needs_flag(capsys):

@@ -1,19 +1,22 @@
 from __future__ import annotations
 
 from math import gcd
+from operator import itemgetter, mul
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fano2ray.catalog import family, load_catalog
+from fano2ray.catalog import FamilyExpectations, FamilyRecord, family, load_catalog
 from fano2ray.linkengine import needs_unprojection, run_game, unproject
 from fano2ray.singular import blowup_weights, locate, singular_locus
 from fano2ray.toric2ray import (
     MONO_VARIABLES,
     DegenerateWall,
     LatticeError,
+    NonHomogeneous,
     RankTwoModel,
+    TransformedEquation,
     ZeroClass,
     ambient_walk,
     build_model,
@@ -21,11 +24,27 @@ from fano2ray.toric2ray import (
     divisorial_target,
     match_recorded_grading,
     minus_k,
+    mono_str,
     movable_position,
     regrade,
     restrict_walk,
     well_form_model,
 )
+
+#: Eleven of the 95 families of Fano index 1, as literal weights and degree.
+INDEX_ONE = [
+    ((1, 1, 1, 1, 2), 5),
+    ((1, 1, 1, 2, 3), 7),
+    ((1, 1, 1, 3, 4), 9),
+    ((1, 1, 2, 3, 3), 9),
+    ((1, 1, 2, 3, 5), 11),
+    ((1, 1, 2, 5, 7), 15),
+    ((1, 1, 3, 4, 7), 15),
+    ((1, 1, 4, 5, 6), 16),
+    ((1, 2, 3, 5, 7), 17),
+    ((1, 3, 4, 5, 7), 19),
+    ((1, 1, 3, 7, 10), 21),
+]
 
 
 def model_for(fid, point, tangent):
@@ -68,6 +87,34 @@ def test_build_model_110(raw110p4, raw110p2):
     assert raw110p4.rows() == ((0, 8, 3, 7, 5, 1), (-8, 0, 1, 5, 7, 3))
     assert raw110p2.labels == ("u", "y2", "y4", "y1", "y3", "y0")
     assert raw110p2.rows() == ((0, 5, 8, 3, 7, 1), (-5, 0, 1, 1, 4, 2))
+
+
+def test_build_model_rejects_an_empty_working_support():
+    rec = family(100)
+    blow = blowup_weights(rec, locate(rec, "p3"), "x2")
+    with pytest.raises(NonHomogeneous, match="empty equation support"):
+        build_model(rec, blow._replace(excluded=rec.support()))
+
+
+def test_build_model_rejects_costs_off_the_congruence_class():
+    # b = (3, 1, 4, 0, 2) mod r = 5 at 100 p3; one more on x0 breaks it
+    rec = family(100)
+    blow = blowup_weights(rec, locate(rec, "p3"), "x2")
+    assert (blow.b, blow.r) == ((3, 1, 4, 0, 2), 5)
+    with pytest.raises(NonHomogeneous, match="not congruent to the multiplicity 4 mod 5"):
+        build_model(rec, blow._replace(b=(4, 1, 4, 0, 2)))
+
+
+def test_build_model_rejects_a_monomial_of_another_degree():
+    # x2^6*x3 has the cost of x2^6 (the center x3 costs 0) but degree 23
+    class SkewedRecord(FamilyRecord):
+        def support(self):
+            return super().support() | {(0, 0, 6, 1, 0)}
+
+    rec = family(100)
+    blow = blowup_weights(rec, locate(rec, "p3"), "x2")
+    with pytest.raises(NonHomogeneous, match=r"\(0, 0, 6, 1, 0\) is not of degree 18"):
+        build_model(SkewedRecord(*rec), blow)
 
 
 def test_columns_sorted_anticlockwise(raw100, raw110p4, raw110p2):
@@ -268,8 +315,8 @@ def test_bihomogeneity_of_all_game_equations():
 
 
 def test_iso_scan_skips_only_equations_without_wall_monomials():
-    # restrict_walk scans an equation for a monomial in the wall variables
-    # alone only when its bidegree is a positive multiple of the wall
+    # restrict_walk looks up monomials in the wall variables alone only in
+    # an equation whose bidegree is a positive multiple of the wall
     # direction; a full scan at every flip wall of every game finds none in
     # the equations it skips
     games = found = skipped = 0
@@ -326,3 +373,133 @@ def test_match_recorded_grading_rejects_non_integral_image():
     recorded = {"u": (0, 0), "y0": (1, 0), "y1": (0, 1)}
     with pytest.raises(LatticeError, match="not integral"):
         match_recorded_grading(model, recorded)
+
+
+# ---------------------------------------------------------------------------
+# reference copies of the previous scans: the transformed equation with both
+# row degrees recomputed for every monomial, and the wall restrictions found
+# by scanning every monomial once per flip wall
+
+
+def reference_equation(record, blow, columns):
+    w, b, r = record.weights, blow.b, blow.r
+    working = record.support() - blow.excluded
+    cost = {m: sum(map(mul, m, b)) for m in working}
+    mu = min(cost.values())
+    support = []
+    for m, k in cost.items():
+        u, rem = divmod(k - mu, r)
+        if rem:
+            raise NonHomogeneous("not congruent")
+        support.append((u, *m, 0))
+    support = frozenset(support)
+    row1, row2 = zip(*(columns.get(lab, (0, 0)) for lab in MONO_VARIABLES))
+    degrees = {(sum(map(mul, m, row1)), sum(map(mul, m, row2))) for m in support}
+    assert len(degrees) == 1
+    assert not all(m[0] > 0 for m in support)
+    return TransformedEquation(support=support, bidegree=degrees.pop())
+
+
+def _factors(m):
+    return tuple((lab, e) for lab, e in zip(MONO_VARIABLES, m) if e)
+
+
+def reference_restrict_walk(model):
+    groups, index_of = model.walls
+    steps = []
+    for step in ambient_walk(model):
+        wall_gi = index_of[step.wall]
+        if step.ambient_kind == "contraction":
+            steps.append(
+                step._replace(
+                    restricted_kind="divisorial", target=divisorial_target(model, step.wall)
+                )
+            )
+            continue
+        off_wall = [
+            i for i, lab in enumerate(MONO_VARIABLES) if lab not in step.wall_variables
+        ]
+        off = itemgetter(*off_wall)
+        d = groups[wall_gi].direction
+        iso_witness = None
+        for eq in model.equations:
+            b = eq.bidegree
+            if det2(b, d) or b[0] * d[0] + b[1] * d[1] <= 0:
+                continue
+            found = [m for m in eq.support if not any(off(m)) and any(m)]
+            if found:
+                iso_witness = min(found, key=_factors)
+                break
+        if iso_witness is not None:
+            steps.append(
+                step._replace(restricted_kind="iso", witnesses=(mono_str(iso_witness),))
+            )
+            continue
+        eliminated = []
+        witnesses = []
+        for eq in model.equations:
+            linear = []
+            for m in eq.support:
+                exponents = off(m)
+                if sum(exponents) != 1:
+                    continue
+                lab = MONO_VARIABLES[off_wall[exponents.index(1)]]
+                if index_of[lab] < wall_gi and lab not in eliminated:
+                    linear.append((lab, m))
+            if not linear:
+                eliminated = []
+                break
+            lab, m = min(linear, key=lambda pair: _factors(pair[1]))
+            eliminated.append(lab)
+            witnesses.append(mono_str(m))
+        if eliminated:
+            rest = tuple((lab, v) for lab, v in step.ambient_weights if lab not in eliminated)
+            kind = "flop" if sorted(v for _, v in rest) == [-1, -1, 1, 1] else "flip"
+            steps.append(
+                step._replace(
+                    restricted_kind=kind, restricted_weights=rest, witnesses=tuple(witnesses)
+                )
+            )
+        else:
+            steps.append(step._replace(restricted_kind="indeterminate"))
+    return tuple(steps)
+
+
+def _all_games(records):
+    for record in records:
+        for entry in singular_locus(record):
+            for _, tangent in entry.tangent_candidates:
+                yield record, run_game(record, entry, tangent)[0]
+
+
+def _index_one_records():
+    return [
+        FamilyRecord(id=0, weights=w, degree=d, rational=False, expected=FamilyExpectations())
+        for w, d in INDEX_ONE
+    ]
+
+
+@pytest.mark.parametrize("catalog", ["index2", "index1"])
+def test_lookups_match_the_reference_scans(catalog):
+    # every game model, in its own grading and regraded by three unimodular
+    # matrices, and every raw equation
+    records = load_catalog() if catalog == "index2" else _index_one_records()
+    games = unprojected = multi_variable_walls = 0
+    for record, trace in _all_games(records):
+        games += 1
+        raw = build_model(record, trace.blowup)
+        assert raw.equations == (
+            reference_equation(record, trace.blowup, raw.column_map()),
+        )
+        unprojected += len(trace.game_model.equations) == 2
+        multi_variable_walls += sum(
+            step.ambient_kind == "flip" and len(step.wall_variables) > 1
+            for step in trace.steps
+        )
+        for matrix in (((1, 0), (0, 1)), ((1, 1), (0, 1)), ((2, 1), (1, 1)), ((1, 0), (-3, 1))):
+            model = regrade(trace.game_model, matrix)
+            assert restrict_walk(model) == reference_restrict_walk(model)
+    # the games reach two-equation models and flip walls of several variables,
+    # where the wall monomials come from a support of the wall multiples
+    expected = {"index2": (87, 9, 11), "index1": (59, 38, 21)}[catalog]
+    assert (games, unprojected, multi_variable_walls) == expected
