@@ -29,9 +29,6 @@ from typing import NamedTuple
 Weights = tuple[int, ...]
 Monomial = tuple[int, ...]
 
-#: Ambient coordinate names, by index.
-VARIABLES = ("x0", "x1", "x2", "x3", "x4")
-
 
 class CatalogError(ValueError):
     """Embedded family data violates a structural invariant."""
@@ -194,10 +191,6 @@ class FamilyExpectations(NamedTuple):
     links: tuple[LinkExpectation, ...] = ()
     exclusions: tuple[ExclusionExpectation, ...] = ()
     matrices: tuple[MatrixExpectation, ...] = ()
-
-    @property
-    def distinguished_point(self) -> str | None:
-        return self.links[0].point if self.links else None
 
 
 class FamilyRecord(NamedTuple):

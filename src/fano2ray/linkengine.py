@@ -19,7 +19,9 @@ verdicts and weight matrices and reporting every known discrepancy
 in the reference data (misprinted Kawamata formats, degree-inconsistent key
 monomials, mislabelled blow-up rows, the inconsistent u-column of the
 unprojected 110 matrix) as a deviation with both the recorded and the
-derived value.
+derived value.  It also cross-checks the solidity partition: the families
+without a fibration witness must be exactly the families with a recorded
+link.  Its :class:`Report` is the one verify verdict; the CLI only renders it.
 """
 
 from __future__ import annotations
@@ -35,20 +37,12 @@ from .catalog import (
     parse_ambient_monomial,
     weighted_degree,
 )
-from .exclusion import fibration_witness, smooth_point_test
-from .singular import (
-    BlowupData,
-    SingularLocusEntry,
-    Stratum,
-    blowup_weights,
-    locate,
-    singular_locus,
-)
+from .exclusion import SoliditySummary, smooth_point_test, solidity_summary
+from .singular import BlowupData, SingularLocusEntry, Stratum, blowup_weights, locate
 from .toric2ray import (
     DivisorialTarget,
     LatticeError,
     RankTwoModel,
-    UnprojectionData,
     Vec,
     WallStep,
     build_model,
@@ -193,11 +187,13 @@ class Deviation(NamedTuple):
 
 
 class Report:
-    """Rows, deviations and failures of one replay of the reference tables."""
+    """Rows, deviations and failures of one replay of the reference tables,
+    and the solidity partition of the catalog that the links are checked by."""
 
     def __init__(self) -> None:
         self.catalog_count = 0
-        self.index_mismatches: tuple[int, ...] = ()
+        self.solidity = SoliditySummary(witnessed=(), witness_less=())
+        self.links_confirmed = False
         self.link_rows: list[dict] = []
         self.exclusion_rows: list[dict] = []
         self.matrix_rows: list[dict] = []
@@ -441,18 +437,13 @@ def verify_tables() -> Report:
     Returns a :class:`Report` with one row per checked item and the full
     deviations list; raises :class:`VerificationFailure` when recomputation
     genuinely disagrees with a corrected reference value (known misprints are
-    deviations, not failures).  Every recorded game runs once.  Deterministic
-    and idempotent.
+    deviations, not failures) or when the families without a fibration
+    witness are not exactly the families with a recorded link.  Every
+    recorded game runs once.  Deterministic and idempotent.
     """
     records = load_catalog()
     report = Report()
     report.catalog_count = len(records)
-    report.index_mismatches = tuple(
-        r.id for r in records if sum(r.weights) - r.degree != r.index
-    )
-    if report.catalog_count != 35 or report.index_mismatches:
-        report.failures.append("catalog integrity check failed")
-
     report.add_deviation(
         "ambient_header",
         None,
@@ -464,8 +455,20 @@ def verify_tables() -> Report:
     _check_links(records, games, report)
     _check_exclusions(records, games, report)
     _check_matrices(records, games, report)
-    # a family with a fibration witness is not solid: no smooth-point exclusion
-    for rep in (smooth_point_test(r) for r in records if fibration_witness(r) is None):
+    # a family with a fibration witness is not solid, so it has no link and
+    # needs no smooth-point exclusion
+    report.solidity = solidity_summary()
+    witness_less = set(report.solidity.witness_less)
+    linked = {row["family"] for row in report.link_rows}
+    if witness_less != linked:
+        report.failures.append(
+            f"families without a fibration witness {sorted(witness_less)} != "
+            f"families with a recorded link {sorted(linked)}"
+        )
+    report.links_confirmed = witness_less == linked and all(
+        row["matched"] for row in report.link_rows
+    )
+    for rep in (smooth_point_test(r) for r in records if r.id in witness_less):
         if not rep.certified:
             report.add_deviation(
                 "smooth_point_bound",
@@ -485,11 +488,7 @@ __all__ = [
     "GameTrace",
     "LinkOutcome",
     "Report",
-    "UnprojectionData",
     "VerificationFailure",
-    "needs_unprojection",
     "run_game",
-    "singular_locus",
-    "unproject",
     "verify_tables",
 ]

@@ -270,10 +270,6 @@ class BlowupData(NamedTuple):
     r: int
     center_index: int
 
-    @property
-    def multiplier(self) -> int:
-        return self.singularity.multiplier
-
 
 def _variable_index(tangent: int | str) -> int:
     if isinstance(tangent, str):

@@ -125,12 +125,6 @@ class RankTwoModel(_ModelFields):
     def column_map(self) -> dict[str, Vec]:
         return dict(self.columns)
 
-    def rows(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return (
-            tuple(v[0] for _, v in self.columns),
-            tuple(v[1] for _, v in self.columns),
-        )
-
     @cached_property
     def walls(self) -> tuple[tuple[_Wall, ...], dict[str, int]]:
         """The ray directions in column order, parallel columns grouped into
@@ -423,14 +417,6 @@ class WallStep(NamedTuple):
     restricted_weights: tuple[tuple[str, int], ...] | None = None
     witnesses: tuple[str, ...] = ()
     target: DivisorialTarget | None = None
-
-    def weight_values(self) -> tuple[int, ...]:
-        return tuple(v for _, v in self.ambient_weights)
-
-    def restricted_values(self) -> tuple[int, ...] | None:
-        if self.restricted_weights is None:
-            return None
-        return tuple(v for _, v in self.restricted_weights)
 
 
 def ambient_walk(model: RankTwoModel) -> tuple[WallStep, ...]:

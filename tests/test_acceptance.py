@@ -31,7 +31,7 @@ from fano2ray.toric2ray import (
     well_form_model,
 )
 
-from expected import SOLID_CANDIDATES
+from expected import SOLID_CANDIDATES, rows, values
 
 _T0 = time.perf_counter()
 
@@ -112,7 +112,7 @@ def test_criterion_06_well_formed_matrix_family_100():
     rec = family(100)
     model = well_form_model(build_model(rec, blowup_weights(rec, locate(rec, "p3"), "x2")))
     assert model.labels == ("u", "y3", "y4", "y1", "y2", "y0")
-    assert model.rows() == ((2, 1, 1, 0, -1, -1), (-5, 0, 2, 1, 4, 3))
+    assert rows(model) == ((2, 1, 1, 0, -1, -1), (-5, 0, 2, 1, 4, 3))
     _report(6, "family 100 well-forms to (2,1,1,0,-1,-1 / -5,0,2,1,4,3)")
 
 
@@ -164,17 +164,17 @@ def test_criterion_08_link_targets():
 def test_criterion_09_game_step_shapes():
     trace, _ = _game(100, "p3", "x2")
     assert [s.restricted_kind for s in trace.steps] == ["iso", "flop", "divisorial"]
-    assert trace.steps[1].restricted_values() == (1, 1, -1, -1)
+    assert values(trace.steps[1].restricted_weights) == (1, 1, -1, -1)
     trace, _ = _game(110, "p4", "x2")
     assert any(
-        s.restricted_kind == "flip" and s.restricted_values() == (5, 1, -3, -2)
+        s.restricted_kind == "flip" and values(s.restricted_weights) == (5, 1, -3, -2)
         for s in trace.steps
     )
     trace, _ = _game(110, "p2", "x0")
     kinds = [s.restricted_kind for s in trace.steps]
     assert kinds[:2] == ["iso", "iso"]
     assert trace.steps[2].restricted_kind == "flip"
-    assert trace.steps[2].restricted_values() == (8, 1, -3, -5)
+    assert values(trace.steps[2].restricted_weights) == (8, 1, -3, -5)
     _report(9, "traces show Flop(1,1,-1,-1), Flip(5,1,-3,-2), Flip(8,1,-3,-5) after two isos")
 
 

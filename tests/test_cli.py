@@ -181,24 +181,41 @@ def test_main_prints_lookup_errors_unquoted(capsys, argv, message):
     assert captured.err == f"error: {message}\n"
 
 
-def test_verify_reports_a_wrong_recorded_target(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "row,edited,failure",
+    [
+        (
+            "100 p3 3,1,2 cE6 1,1,1,3,5 ",
+            "100 p3 3,1,2 cE6 1,1,1,3,6 ",
+            "family 100 p3: expected Z_{10} ⊂ P(1,1,1,3,6)",
+        ),
+        (
+            "100 p3 3,1,2 cE6 1,1,1,3,5 10 hypersurface\n",
+            "",
+            "families without a fibration witness [100, 101, 102, 103, 110] != "
+            "families with a recorded link [101, 102, 103, 110]",
+        ),
+    ],
+    ids=["wrong-target", "missing-link-row"],
+)
+def test_verify_reports_a_wrong_recorded_target(
+    tmp_path, monkeypatch, capsys, row, edited, failure
+):
     data = tmp_path / "data"
     shutil.copytree(Path(fano2ray.__file__).parent / "data", data)
     targets = data / "link_targets.txt"
     text = targets.read_text(encoding="utf-8")
-    assert text.count("100 p3 3,1,2 cE6 1,1,1,3,5 ") == 1
-    targets.write_text(
-        text.replace("100 p3 3,1,2 cE6 1,1,1,3,5 ", "100 p3 3,1,2 cE6 1,1,1,3,6 "),
-        encoding="utf-8",
-    )
+    assert text.count(row) == 1
+    targets.write_text(text.replace(row, edited), encoding="utf-8")
     monkeypatch.setenv("FANO2RAY_DATA", str(data))
 
     assert main(["verify", "--format", "json"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["ok"] is False
+    assert doc["solidity"]["links_confirmed"] is False
     assert len(doc["failures"]) == 1
-    assert doc["failures"][0].startswith("family 100 p3: expected Z_{10} ⊂ P(1,1,1,3,6)")
-
+    assert doc["failures"][0].startswith(failure)
+    # the library gives the same verdict as the CLI
     with pytest.raises(VerificationFailure) as err:
         verify_tables()
     assert err.value.report.failures == doc["failures"]

@@ -134,7 +134,7 @@ def test_solidity_summary_partition():
 @pytest.mark.parametrize("fid", sorted(SOLID_CANDIDATES))
 def test_witness_less_families_have_elementary_links(fid):
     rec = family(fid)
-    point = rec.expected.distinguished_point
+    point = rec.expected.links[0].point
     entry = locate(rec, point)
     _, outcome = run_game(rec, entry, entry.tangent_candidates[0][1])
     assert outcome.kind == "elementary_link"

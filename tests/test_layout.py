@@ -74,3 +74,33 @@ def test_no_module_compares_a_record_id_with_an_integer_literal():
             ):
                 offenders.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert offenders == []
+
+
+def _defined_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def test_every_name_a_module_exports_is_defined_there():
+    # a submodule exports only its own API; the package __init__ gathers it
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exported = [
+            elt.value
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for elt in node.value.elts
+        ]
+        defined = _defined_names(tree)
+        offenders += [f"{path.name}: {name}" for name in exported if name not in defined]
+    assert offenders == []

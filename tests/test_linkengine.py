@@ -1,14 +1,24 @@
 from __future__ import annotations
 
 import re
+from collections import Counter
 
 import pytest
 
-from fano2ray import linkengine
+from fano2ray import cli, exclusion, linkengine
 from fano2ray.catalog import family, load_catalog
-from fano2ray.linkengine import needs_unprojection, run_game, unproject, verify_tables
+from fano2ray.linkengine import run_game, verify_tables
 from fano2ray.singular import blowup_weights, locate, singular_locus
-from fano2ray.toric2ray import MONO_VARIABLES, build_model, restrict_walk, well_form_model
+from fano2ray.toric2ray import (
+    MONO_VARIABLES,
+    build_model,
+    needs_unprojection,
+    restrict_walk,
+    unproject,
+    well_form_model,
+)
+
+from expected import values
 
 
 def raw_model(fid, point, tangent):
@@ -98,7 +108,7 @@ def test_run_game_110_p4():
     kinds = [s.restricted_kind for s in trace.steps]
     assert kinds == ["iso", "flip", "divisorial"]
     flip = trace.steps[1]
-    assert flip.restricted_values() == (5, 1, -3, -2)
+    assert values(flip.restricted_weights) == (5, 1, -3, -2)
     assert outcome.model.weights == (1, 1, 1, 2, 3)
     assert outcome.model.degrees == (7,)
     assert outcome.label == "cE7"
@@ -239,16 +249,34 @@ def test_verify_tables_idempotent():
 
 
 def test_verify_tables_builds_each_game_once(monkeypatch):
-    calls = []
+    calls = Counter()
 
-    def counting_build_model(*args):
-        calls.append(args)
-        return build_model(*args)
+    def counting(module, name):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(linkengine, "build_model", counting_build_model)
+        def wrapper(*args):
+            calls[f"{module.__name__}.{name}"] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(linkengine, "build_model")
+    counting(exclusion, "fibration_witness")
+    counting(linkengine, "solidity_summary")
+    counting(exclusion, "solidity_summary")
+    # 6 link games and 7 exclusion games, the matrices reusing the link games;
+    # one fibration witness per family, all from the one solidity summary
+    once = {
+        "fano2ray.linkengine.build_model": 13,
+        "fano2ray.exclusion.fibration_witness": 35,
+        "fano2ray.linkengine.solidity_summary": 1,
+    }
     verify_tables()
-    # 6 link games and 7 exclusion games; the matrices reuse the link games
-    assert len(calls) == 13
+    assert calls == once
+    # the CLI renders the report of verify_tables and checks nothing itself
+    calls.clear()
+    assert cli.run(cli.Command(verb="verify", format="json"))[0] == 0
+    assert calls == once
 
 
 def test_game_model_is_well_formed_unprojection_on_every_unprojected_game():

@@ -132,7 +132,7 @@ def test_blowup_weights_100_p3():
     blow = blowup_weights(rec, locate(rec, "p3"), "x2")
     assert blow.b == (3, 1, 4, 0, 2)
     assert blow.r == 5
-    assert blow.multiplier == 3
+    assert blow.singularity.multiplier == 3
     # tangent weight agrees with the congruence value 3*3 mod 5 and with the
     # doubled weight of x4 (the monomial x4^2 realizes the minimum)
     assert blow.b[2] == (3 * 3) % 5 == 2 * blow.b[4]
@@ -201,7 +201,7 @@ def test_tangent_weight_against_brute_force(fid, point, tangent):
     for i, v in enumerate(blow.b):
         if i == entry.center:
             continue
-        assert (v - blow.multiplier * rec.weights[i]) % blow.r == 0
+        assert (v - blow.singularity.multiplier * rec.weights[i]) % blow.r == 0
         if i != tangent:
             assert 1 <= v <= blow.r - 1
 

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fano2ray.catalog import FamilyExpectations, FamilyRecord, family, load_catalog
-from fano2ray.linkengine import needs_unprojection, run_game, unproject
+from fano2ray.linkengine import run_game
 from fano2ray.singular import blowup_weights, locate, singular_locus
 from fano2ray.toric2ray import (
     MONO_VARIABLES,
@@ -26,10 +26,14 @@ from fano2ray.toric2ray import (
     minus_k,
     mono_str,
     movable_position,
+    needs_unprojection,
     regrade,
     restrict_walk,
+    unproject,
     well_form_model,
 )
+
+from expected import rows, values
 
 #: Eleven of the 95 families of Fano index 1, as literal weights and degree.
 INDEX_ONE = [
@@ -84,9 +88,9 @@ def test_build_model_100(raw100):
 
 def test_build_model_110(raw110p4, raw110p2):
     assert raw110p4.labels == ("u", "y4", "y1", "y3", "y2", "y0")
-    assert raw110p4.rows() == ((0, 8, 3, 7, 5, 1), (-8, 0, 1, 5, 7, 3))
+    assert rows(raw110p4) == ((0, 8, 3, 7, 5, 1), (-8, 0, 1, 5, 7, 3))
     assert raw110p2.labels == ("u", "y2", "y4", "y1", "y3", "y0")
-    assert raw110p2.rows() == ((0, 5, 8, 3, 7, 1), (-5, 0, 1, 1, 4, 2))
+    assert rows(raw110p2) == ((0, 5, 8, 3, 7, 1), (-5, 0, 1, 1, 4, 2))
 
 
 def test_build_model_rejects_an_empty_working_support():
@@ -128,7 +132,7 @@ def test_columns_sorted_anticlockwise(raw100, raw110p4, raw110p2):
 def test_well_form_model_100_exact(raw100):
     wf = well_form_model(raw100)
     assert wf.labels == ("u", "y3", "y4", "y1", "y2", "y0")
-    assert wf.rows() == ((2, 1, 1, 0, -1, -1), (-5, 0, 2, 1, 4, 3))
+    assert rows(wf) == ((2, 1, 1, 0, -1, -1), (-5, 0, 2, 1, 4, 3))
     # lattice is primitive: the 2x2 minors are collectively coprime
     vecs = [v for _, v in wf.columns]
     minors = [det2(a, b) for i, a in enumerate(vecs) for b in vecs[i + 1 :]]
@@ -156,7 +160,7 @@ def test_ambient_walk_100(raw100):
     assert [s.wall for s in steps] == ["y4", "y1", "y2"]
     assert [s.ambient_kind for s in steps] == ["flip", "flip", "contraction"]
     flop = steps[1]
-    assert flop.weight_values() == (2, 1, 1, -1, -1)
+    assert values(flop.ambient_weights) == (2, 1, 1, -1, -1)
     assert steps[2].contracted == "y0"
 
 
@@ -172,7 +176,7 @@ def test_ambient_flip_weights_match_raw_determinants(raw110p4):
     expected = {lab: v // g for lab, v in expected.items()}
     step = next(s for s in ambient_walk(raw110p4) if s.wall == "y3")
     assert dict(step.ambient_weights) == expected
-    assert step.weight_values() == (7, 5, 1, -3, -2)
+    assert values(step.ambient_weights) == (7, 5, 1, -3, -2)
 
 
 @given(
@@ -195,14 +199,14 @@ def test_restrict_walk_100(raw100):
     assert [s.restricted_kind for s in steps] == ["iso", "flop", "divisorial"]
     assert steps[0].witnesses == ("y4^2",)
     assert steps[1].witnesses == ("u*y1^9",)
-    assert steps[1].restricted_values() == (1, 1, -1, -1)
+    assert values(steps[1].restricted_weights) == (1, 1, -1, -1)
 
 
 def test_restrict_walk_110_p4(raw110p4):
     steps = restrict_walk(well_form_model(raw110p4))
     assert [s.restricted_kind for s in steps] == ["iso", "flip", "divisorial"]
     assert steps[0].witnesses == ("y1^7",)
-    assert steps[1].restricted_values() == (5, 1, -3, -2)
+    assert values(steps[1].restricted_weights) == (5, 1, -3, -2)
     assert steps[1].witnesses == ("u*y3^3",)
 
 
@@ -213,7 +217,7 @@ def test_restrict_walk_110_p2_unprojected(raw110p2):
     model = unproject(wf, pieces)
     steps = restrict_walk(model)
     assert [s.restricted_kind for s in steps] == ["iso", "iso", "flip", "divisorial"]
-    assert steps[2].restricted_values() == (8, 1, -3, -5)
+    assert values(steps[2].restricted_weights) == (8, 1, -3, -5)
     assert set(steps[2].witnesses) == {"u*y", "y2*y"}
 
 
@@ -281,8 +285,8 @@ def test_flop_exactly_when_eliminated_weight_equals_excess():
         for step in restrict_walk(model):
             if step.restricted_kind not in ("flop", "flip"):
                 continue
-            ambient_sum = sum(step.weight_values())
-            eliminated = sum(step.weight_values()) - sum(step.restricted_values())
+            ambient_sum = sum(values(step.ambient_weights))
+            eliminated = ambient_sum - sum(values(step.restricted_weights))
             assert (step.restricted_kind == "flop") == (ambient_sum == eliminated)
 
 
