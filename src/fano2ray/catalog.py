@@ -24,7 +24,8 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, prod
-from typing import NamedTuple
+
+from ._records import Record
 
 Weights = tuple[int, ...]
 Monomial = tuple[int, ...]
@@ -147,7 +148,7 @@ def well_form_weights(weights: Weights) -> Weights:
 # expectation data (reference tables, kept verbatim with known misprints)
 
 
-class LinkExpectation(NamedTuple):
+class LinkExpectation(Record):
     """Recorded end model of the elementary link from one distinguished point."""
 
     family: int
@@ -159,7 +160,7 @@ class LinkExpectation(NamedTuple):
     construction: str  # "hypersurface" | "unprojection"
 
 
-class ExclusionExpectation(NamedTuple):
+class ExclusionExpectation(Record):
     """Recorded exclusion game at one non-distinguished quotient singularity."""
 
     family: int
@@ -173,7 +174,7 @@ class ExclusionExpectation(NamedTuple):
     verdict: str  # "bad_link" | "no_link"
 
 
-class MatrixExpectation(NamedTuple):
+class MatrixExpectation(Record):
     """Recorded rank-2 weight matrix of a displayed model."""
 
     family: int
@@ -187,13 +188,13 @@ class MatrixExpectation(NamedTuple):
         return tuple((lab, (a, b)) for lab, a, b in zip(self.labels, r1, r2))
 
 
-class FamilyExpectations(NamedTuple):
+class FamilyExpectations(Record):
     links: tuple[LinkExpectation, ...] = ()
     exclusions: tuple[ExclusionExpectation, ...] = ()
     matrices: tuple[MatrixExpectation, ...] = ()
 
 
-class FamilyRecord(NamedTuple):
+class FamilyRecord(Record):
     """One catalog entry: ``X_degree`` in ``P(weights)`` plus expectation data.
 
     ``h_degree`` is the recorded cutting degree of the smooth-point test, or

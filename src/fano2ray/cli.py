@@ -17,10 +17,10 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import catalog as cat
 from . import exclusion, linkengine
+from ._records import Record
 from .catalog import ambient_monomial_str, family, load_catalog
 from .singular import SingularLocusEntry, locate, singular_locus
 from .toric2ray import DivisorialTarget, RankTwoModel
@@ -28,7 +28,7 @@ from .toric2ray import DivisorialTarget, RankTwoModel
 USAGE_ERROR = 2
 
 
-class Command(NamedTuple):
+class Command(Record):
     verb: str
     family: int | None = None
     point: str | None = None
@@ -418,14 +418,14 @@ def serialize(report: dict, fmt: str) -> str:
 # argument parsing
 
 
-def _help_formatter(prog: str) -> argparse.HelpFormatter:
-    """argparse's default formatter at the width it would pick itself.
+def _help_width() -> int:
+    """The width argparse's default formatter would pick itself.
 
-    The width is what ``shutil.get_terminal_size`` gives (``COLUMNS``, else
-    the terminal on ``sys.__stdout__``, else 80) minus 2, computed here:
-    argparse makes a formatter for every argument it adds, and its own width
-    lookup imports ``shutil`` (and with it ``bz2``, ``lzma`` and ``zlib``) on
-    every run, although help is rarely printed.
+    That is what ``shutil.get_terminal_size`` gives (``COLUMNS``, else the
+    terminal on ``sys.__stdout__``, else 80) minus 2, computed here: argparse
+    makes a formatter for every argument it adds, and its own width lookup
+    imports ``shutil`` (and with it ``bz2``, ``lzma`` and ``zlib``) on every
+    run, although help is rarely printed.
     """
     try:
         columns = int(os.environ["COLUMNS"])
@@ -436,19 +436,24 @@ def _help_formatter(prog: str) -> argparse.HelpFormatter:
             columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
         except (AttributeError, ValueError, OSError):
             columns = 0
-    return argparse.HelpFormatter(prog, width=(columns or 80) - 2)
+    return (columns or 80) - 2
 
 
 def build_parser() -> argparse.ArgumentParser:
+    width = _help_width()
+
+    def help_formatter(prog: str) -> argparse.HelpFormatter:
+        return argparse.HelpFormatter(prog, width=width)
+
     parser = argparse.ArgumentParser(
         prog="fano2ray",
         description="Birational analysis of the index >= 2 Fano threefold hypersurfaces",
-        formatter_class=_help_formatter,
+        formatter_class=help_formatter,
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def add_verb(name, help):
-        return sub.add_parser(name, help=help, formatter_class=_help_formatter)
+        return sub.add_parser(name, help=help, formatter_class=help_formatter)
 
     def add_format(p):
         p.add_argument(

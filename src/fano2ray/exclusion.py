@@ -12,8 +12,8 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from math import prod
-from typing import NamedTuple
 
+from ._records import Record
 from .catalog import FamilyRecord, Weights, anticanonical_cube, load_catalog
 
 SMOOTH_POINT_THRESHOLD = Fraction(4)
@@ -29,7 +29,7 @@ class InvariantBreach(RuntimeError):
     """An internally guaranteed inequality failed; indicates corrupt data."""
 
 
-class ExclusionReport(NamedTuple):
+class ExclusionReport(Record):
     """Outcome of one numerical test, certified iff value <= threshold."""
 
     kind: str  # "smooth_point" | "curve"
@@ -89,7 +89,7 @@ def curve_test(record: FamilyRecord) -> ExclusionReport:
     )
 
 
-class FibrationWitness(NamedTuple):
+class FibrationWitness(Record):
     """Exact data exhibiting a birational map to a fibration over the line.
 
     The projection to the first two coordinates has fibres of negative
@@ -140,7 +140,7 @@ def fibration_witness(record: FamilyRecord) -> FibrationWitness | None:
     return witness
 
 
-class SoliditySummary(NamedTuple):
+class SoliditySummary(Record):
     witnessed: tuple[int, ...]
     witness_less: tuple[int, ...]
 

@@ -26,8 +26,7 @@ link.  Its :class:`Report` is the one verify verdict; the CLI only renders it.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
+from ._records import Record
 from .catalog import (
     FamilyRecord,
     Monomial,
@@ -68,7 +67,7 @@ class VerificationFailure(Exception):
 # running one game
 
 
-class LinkOutcome(NamedTuple):
+class LinkOutcome(Record):
     """Verdict of one game; an elementary link always carries its Fano model.
 
     ``kind`` is ``elementary_link``, ``bad_link`` or ``no_link`` for every
@@ -88,7 +87,7 @@ class LinkOutcome(NamedTuple):
     warnings: tuple[str, ...] = ()
 
 
-class GameTrace(NamedTuple):
+class GameTrace(Record):
     """Every stage of one game.  ``raw_unprojected`` is ``None`` when the
     equation is not in the irrelevant ideal; ``game_model``, the model the
     walk runs on, is the well-formed ``raw_unprojected`` or ``well_formed``."""
@@ -176,7 +175,7 @@ def run_game(
 # replay of the reference tables
 
 
-class Deviation(NamedTuple):
+class Deviation(Record):
     """A recorded reference value that recomputation contradicts."""
 
     kind: str

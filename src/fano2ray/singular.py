@@ -4,9 +4,9 @@ A general quasi-smooth member meets the singular locus of its ambient
 weighted projective space in finitely many cyclic quotient points sitting at
 coordinate vertices and on one-dimensional coordinate strata.  This module
 locates those points combinatorially from the monomial support, normalizes
-each germ ``1/r(w1,w2,w3)`` into Kawamata format ``1/r(1,a,r-a)`` by an
-exhaustive multiplier search, and produces the fractional weight data of the
-Kawamata blow-up that seeds the rank-2 toric models of
+each germ ``1/r(w1,w2,w3)`` into Kawamata format ``1/r(1,a,r-a)`` with the
+multiplier read off an inverse mod ``r``, and produces the fractional weight
+data of the Kawamata blow-up that seeds the rank-2 toric models of
 :mod:`fano2ray.toric2ray`.
 """
 
@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import operator
 from math import gcd
-from typing import NamedTuple
 
+from ._records import Record
 from .catalog import FamilyRecord, Monomial, monomial_support
 
 
@@ -31,7 +31,7 @@ class UnresolvedTangent(ValueError):
 # sites
 
 
-class Vertex(NamedTuple):
+class Vertex(Record):
     """A coordinate point ``p_i`` of the ambient space."""
 
     index: int
@@ -45,7 +45,7 @@ class Vertex(NamedTuple):
         return (self.index,)
 
 
-class Stratum(NamedTuple):
+class Stratum(Record):
     """The one-dimensional coordinate stratum through ``p_i`` and ``p_j``."""
 
     first: int
@@ -67,7 +67,7 @@ Site = Vertex | Stratum
 # terminal normal form
 
 
-class QuotientSingularity(NamedTuple):
+class QuotientSingularity(Record):
     """A terminal cyclic quotient germ ``1/r(w1,w2,w3)``.
 
     ``local_weights`` maps the three local coordinate indices to their
@@ -89,12 +89,16 @@ class QuotientSingularity(NamedTuple):
 def normalize_terminal(
     r: int, weights: tuple[int, int, int], variables: tuple[int, ...] = (0, 1, 2)
 ) -> QuotientSingularity:
-    """Normalize ``1/r(weights)`` into Kawamata format by multiplier search.
+    """Normalize ``1/r(weights)`` into Kawamata format.
 
-    Tries every unit ``m`` in ``1..r-1`` in increasing order and accepts the
-    first one for which some entry of ``m * weights mod r`` equals 1 while the
-    other two sum to ``r``.  Raises :class:`NotTerminal` when no multiplier
-    works (the germ is then not a terminal threefold point).
+    The multiplier is the least unit ``m`` in ``1..r-1`` for which some entry
+    of ``m * weights mod r`` equals 1 while the other two sum to ``r``, with
+    the first such entry on ties.  ``m * w_i == 1`` forces ``m = w_i^-1 mod r``,
+    and the other two residues, both nonzero, then sum to ``r`` exactly when
+    the other two weights sum to 0 mod ``r``; so each entry ``i`` admits at
+    most one multiplier and no search is needed.  Raises :class:`NotTerminal`
+    when no entry admits one (the germ is then not a terminal threefold
+    point).
     """
     if r < 2:
         raise NotTerminal(f"quotient order must be at least 2, got {r}")
@@ -104,29 +108,24 @@ def normalize_terminal(
     for w in residues:
         if gcd(w, r) != 1:
             raise NotTerminal(f"local weight {w} shares a factor with r={r}")
-    for m in range(1, r):
-        if gcd(m, r) != 1:
-            continue
-        v = tuple((m * w) % r for w in residues)
-        for i in range(3):
-            if v[i] != 1:
-                continue
-            others = tuple(v[j] for j in range(3) if j != i)
-            if sum(others) == r:
-                return QuotientSingularity(
-                    r=r,
-                    local_weights=tuple(zip(variables, residues)),
-                    multiplier=m,
-                    kawamata_form=(1, *others),
-                )
-    raise NotTerminal(f"1/{r}{residues} admits no Kawamata normal form")
+    total = sum(residues)
+    candidates = [(pow(w, -1, r), i) for i, w in enumerate(residues) if (total - w) % r == 0]
+    if not candidates:
+        raise NotTerminal(f"1/{r}{residues} admits no Kawamata normal form")
+    m, i = min(candidates)
+    return QuotientSingularity(
+        r=r,
+        local_weights=tuple(zip(variables, residues)),
+        multiplier=m,
+        kawamata_form=(1, *((m * w) % r for j, w in enumerate(residues) if j != i)),
+    )
 
 
 # ---------------------------------------------------------------------------
 # singular locus of a general member
 
 
-class SingularLocusEntry(NamedTuple):
+class SingularLocusEntry(Record):
     """One singular site of a general member, with its tangent data.
 
     ``tangent_candidates`` pairs each key monomial ``x_c^k * x_j`` of the
@@ -246,7 +245,7 @@ def locate(record: FamilyRecord, label: str) -> SingularLocusEntry:
 # Kawamata blow-up weights
 
 
-class BlowupData(NamedTuple):
+class BlowupData(Record):
     """Weight data of the Kawamata blow-up at one center with a chosen tangent.
 
     ``b`` holds the blow-up weight of every variable ``x0..x4``, 0 at the

@@ -36,8 +36,8 @@ from functools import cached_property, cmp_to_key
 from itertools import combinations
 from math import gcd
 from operator import itemgetter, mul
-from typing import NamedTuple
 
+from ._records import Record
 from .catalog import FamilyRecord, Weights, monomial_support, well_form_weights
 from .singular import BlowupData
 
@@ -90,19 +90,19 @@ def mono_str(m: Mono) -> str:
     return "*".join(lab if e == 1 else f"{lab}^{e}" for lab, e in factors)
 
 
-class TransformedEquation(NamedTuple):
+class TransformedEquation(Record):
     """Monomial support of one transformed equation and its bidegree."""
 
     support: frozenset[Mono]
     bidegree: Vec
 
 
-class _Wall(NamedTuple):
+class _Wall(Record):
     direction: Vec
     labels: tuple[str, ...]
 
 
-class _ModelFields(NamedTuple):
+class _ModelFields(Record):
     columns: tuple[tuple[str, Vec], ...]
     equations: tuple[TransformedEquation, ...]
     center: str
@@ -115,7 +115,7 @@ class RankTwoModel(_ModelFields):
     ``u``-ray (parallel rays kept adjacent); ``center`` is the label of the
     blown-up center variable, always the second ray direction.  The class
     declares no ``__slots__``: the cached ``walls`` lives in the instance
-    ``__dict__``, which a bare NamedTuple does not have.
+    ``__dict__``, which a bare record does not have.
     """
 
     @property
@@ -322,7 +322,7 @@ def regrade(model: RankTwoModel, matrix: tuple[Vec, Vec]) -> RankTwoModel:
 # unprojection
 
 
-class UnprojectionData(NamedTuple):
+class UnprojectionData(Record):
     """The split ``g = u*A + y_c*B`` and the weight of the new variable.
 
     ``piece_u`` is the support of ``A`` and ``piece_center`` the support of
@@ -351,25 +351,17 @@ def needs_unprojection(model: RankTwoModel) -> UnprojectionData | None:
     c = MONO_VARIABLES.index(model.center)
     # the five positions besides u and the center: a tuple for every monomial
     rest = itemgetter(*(i for i in range(1, len(MONO_VARIABLES)) if i != c))
-    piece_u = set()
-    piece_center = set()
-    for m in eq.support:
-        if not any(rest(m)):
-            return None
-        if m[0]:
-            piece_u.add((m[0] - 1, *m[1:]))
-        elif m[c]:
-            piece_center.add((*m[:c], m[c] - 1, *m[c + 1 :]))
-        else:
-            return None
+    # decide first, build the pieces only for an equation in the ideal
+    if not all((m[0] or m[c]) and any(rest(m)) for m in eq.support):
+        return None
+    piece_u = frozenset((m[0] - 1, *m[1:]) for m in eq.support if m[0])
+    piece_center = frozenset((*m[:c], m[c] - 1, *m[c + 1 :]) for m in eq.support if not m[0])
     if not piece_u or not piece_center:
         return None
     cols = model.column_map()
     u, center = cols["u"], cols[model.center]
     weight = (eq.bidegree[0] - u[0] - center[0], eq.bidegree[1] - u[1] - center[1])
-    return UnprojectionData(
-        piece_u=frozenset(piece_u), piece_center=frozenset(piece_center), weight=weight
-    )
+    return UnprojectionData(piece_u=piece_u, piece_center=piece_center, weight=weight)
 
 
 def unproject(model: RankTwoModel, pieces: UnprojectionData) -> RankTwoModel:
@@ -391,7 +383,7 @@ def unproject(model: RankTwoModel, pieces: UnprojectionData) -> RankTwoModel:
 # walls and the ambient walk
 
 
-class DivisorialTarget(NamedTuple):
+class DivisorialTarget(Record):
     """End model ``Z_{d...} ⊂ P(w...)`` of a divisorial contraction: its
     well-formed weights and sorted degrees.  The one end-model value: the
     divisorial step of a walk carries it, and an elementary link's outcome
@@ -405,7 +397,7 @@ class DivisorialTarget(NamedTuple):
         return f"Z_{{{degrees}}} ⊂ P({weights})"
 
 
-class WallStep(NamedTuple):
+class WallStep(Record):
     """One wall crossing: ambient classification plus the restriction to Y."""
 
     wall: str

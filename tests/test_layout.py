@@ -27,7 +27,8 @@ def test_no_module_imports_another_modules_private_names():
 
 def test_start_up_imports_no_heavy_standard_modules():
     # a fresh interpreter without site-packages, as a cold CLI run starts;
-    # parsing must not pull in shutil (argparse's own width lookup) either
+    # parsing must not pull in shutil (argparse's own width lookup) either,
+    # and the records are built without typing
     heavy = (
         "dataclasses",
         "inspect",
@@ -38,6 +39,7 @@ def test_start_up_imports_no_heavy_standard_modules():
         "bz2",
         "lzma",
         "zlib",
+        "typing",
     )
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import fano2ray.cli; "

@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import ast
+import inspect
+import pickle
+import sys
+import types
+from typing import NamedTuple
+
 import pytest
 
 from fano2ray import catalog, cli, exclusion, linkengine, singular, toric2ray
+from fano2ray._records import Record
 from fano2ray.catalog import family
 from fano2ray.exclusion import curve_test, fibration_witness, solidity_summary
 from fano2ray.linkengine import run_game, verify_tables
@@ -68,3 +76,127 @@ def test_records_refuse_field_assignment(obj):
             setattr(obj, name, getattr(obj, name))
     assert obj == tuple(obj)
     assert hash(obj) == hash(tuple(obj))
+
+
+def test_record_classes_are_their_annotated_fields_and_docstring():
+    # every class written `class X(Record)` has the annotated names of its
+    # body as fields, in source order, and its docstring as __doc__; and no
+    # namedtuple class of the package is built another way
+    built = set()
+    for mod in MODULES:
+        tree = ast.parse(inspect.getsource(mod))
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if not any(isinstance(base, ast.Name) and base.id == "Record" for base in node.bases):
+                continue
+            cls = getattr(mod, node.name)
+            names = tuple(
+                stmt.target.id
+                for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            )
+            assert cls._fields == names, node.name
+            docstring = ast.get_docstring(node)
+            if docstring is None:
+                assert cls.__doc__ == f"{node.name}({', '.join(names)})"
+            else:
+                assert inspect.cleandoc(cls.__doc__) == docstring, node.name
+            built.add(cls)
+    namedtuples = {
+        obj
+        for mod in MODULES
+        for obj in vars(mod).values()
+        if isinstance(obj, type) and obj.__module__ == mod.__name__ and "_fields" in vars(obj)
+    }
+    assert namedtuples == built
+
+
+#: One class body, built once on ``typing.NamedTuple`` and once on ``Record``
+#: in two modules of its own, so that names, reprs and pickling can be compared.
+POINT_SOURCE = '''
+from __future__ import annotations
+
+from functools import cached_property
+
+
+class Point(Base):
+    """A labelled point of the plane."""
+
+    x: int
+    y: int = 0
+    label: str | None = None
+
+    def norm(self) -> int:
+        return self.x * self.x + self.y * self.y
+
+    @property
+    def swapped(self) -> Point:
+        return self._replace(x=self.y, y=self.x)
+
+
+class CachedPoint(Point):
+    @cached_property
+    def twice(self) -> int:
+        return 2 * self.norm()
+'''
+
+
+def _point_module(name: str, base: type) -> types.ModuleType:
+    module = types.ModuleType(name)
+    module.Base = base
+    sys.modules[name] = module
+    exec(POINT_SOURCE, vars(module))
+    return module
+
+
+TYPED = _point_module("fano2ray_test_points_typed", NamedTuple)
+PLAIN = _point_module("fano2ray_test_points_record", Record)
+
+
+@pytest.mark.parametrize("name", ["Point", "CachedPoint"])
+def test_record_class_matches_typing_namedtuple(name):
+    typed, plain = getattr(TYPED, name), getattr(PLAIN, name)
+    for attr in ("_fields", "_field_defaults", "__doc__", "__qualname__", "__name__"):
+        assert getattr(plain, attr) == getattr(typed, attr), attr
+    assert [c.__name__ for c in plain.__mro__] == [c.__name__ for c in typed.__mro__]
+
+
+def test_record_annotations_stay_strings():
+    assert PLAIN.Point.__annotations__ == {"x": "int", "y": "int", "label": "str | None"}
+
+
+def _behaviour(module: types.ModuleType) -> list:
+    point = module.Point(3, 4, "p")
+    cached = module.CachedPoint(1)
+    return [
+        repr(point),
+        repr(module.Point(1)),
+        repr(point._replace(y=1)),
+        point._asdict(),
+        point.norm(),
+        repr(point.swapped),
+        point == (3, 4, "p"),
+        hash(point) == hash((3, 4, "p")),
+        pickle.loads(pickle.dumps(point)) == point,
+        type(pickle.loads(pickle.dumps(cached))) is module.CachedPoint,
+        repr(cached),
+        cached.twice,
+        "twice" in vars(cached),
+    ]
+
+
+def test_record_instances_behave_as_typing_namedtuple_instances():
+    assert _behaviour(PLAIN) == _behaviour(TYPED)
+    point = PLAIN.Point(3)
+    with pytest.raises(AttributeError):
+        point.x = 1
+
+
+@pytest.mark.parametrize("base", [NamedTuple, Record], ids=["typing", "record"])
+def test_a_field_without_default_after_a_default_is_refused(base):
+    with pytest.raises(TypeError):
+
+        class Bad(base):
+            first: int = 0
+            second: int

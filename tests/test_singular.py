@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from itertools import product
 from math import gcd
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from fano2ray.catalog import family, load_catalog
 from fano2ray.singular import (
     NotTerminal,
+    QuotientSingularity,
     Stratum,
     UnresolvedTangent,
     Vertex,
@@ -70,6 +72,63 @@ def test_normalize_terminal_rejects_non_terminal():
         normalize_terminal(5, (1, 1, 1))
     with pytest.raises(NotTerminal):
         normalize_terminal(4, (2, 1, 1))  # shared factor with r
+
+
+def reference_normalize_terminal(r, weights, variables=(0, 1, 2)):
+    # the previous search over every unit multiplier 1..r-1, kept as the
+    # reference of the closed form
+    if r < 2:
+        raise NotTerminal(f"quotient order must be at least 2, got {r}")
+    residues = tuple(w % r for w in weights)
+    if len(residues) != 3:
+        raise NotTerminal("need exactly three local weights")
+    for w in residues:
+        if gcd(w, r) != 1:
+            raise NotTerminal(f"local weight {w} shares a factor with r={r}")
+    for m in range(1, r):
+        if gcd(m, r) != 1:
+            continue
+        v = tuple((m * w) % r for w in residues)
+        for i in range(3):
+            if v[i] != 1:
+                continue
+            others = tuple(v[j] for j in range(3) if j != i)
+            if sum(others) == r:
+                return QuotientSingularity(
+                    r=r,
+                    local_weights=tuple(zip(variables, residues)),
+                    multiplier=m,
+                    kawamata_form=(1, *others),
+                )
+    raise NotTerminal(f"1/{r}{residues} admits no Kawamata normal form")
+
+
+def _outcome(normalize, r, weights):
+    try:
+        return normalize(r, weights, (4, 0, 2))
+    except NotTerminal as err:
+        return str(err)
+
+
+def test_normalize_terminal_matches_the_multiplier_search():
+    # every triple of units mod r for r < 24, as residues and unreduced, and
+    # inputs the checks before the search reject (r < 48, 935,506 inputs,
+    # also agrees but takes about 30 s)
+    count = 0
+    for r in range(2, 24):
+        units = [u for u in range(1, r) if gcd(u, r) == 1]
+        for weights in product(units, repeat=3):
+            expected = _outcome(reference_normalize_terminal, r, weights)
+            unreduced = tuple(w + k * r for k, w in enumerate(weights, start=1))
+            assert _outcome(normalize_terminal, r, weights) == expected
+            assert _outcome(normalize_terminal, r, unreduced) == expected
+            count += isinstance(expected, QuotientSingularity)
+    assert count == 5383
+    rejected = ((1, (1, 1, 1)), (0, (1, 2, 3)), (4, (2, 1, 1)), (6, (1, 5)), (9, (3, 1, 2)))
+    for r, weights in rejected:
+        expected = _outcome(reference_normalize_terminal, r, weights)
+        assert isinstance(expected, str)
+        assert _outcome(normalize_terminal, r, weights) == expected
 
 
 def test_singular_locus_110():

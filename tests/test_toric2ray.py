@@ -17,6 +17,7 @@ from fano2ray.toric2ray import (
     NonHomogeneous,
     RankTwoModel,
     TransformedEquation,
+    UnprojectionData,
     ZeroClass,
     ambient_walk,
     build_model,
@@ -381,8 +382,9 @@ def test_match_recorded_grading_rejects_non_integral_image():
 
 # ---------------------------------------------------------------------------
 # reference copies of the previous scans: the transformed equation with both
-# row degrees recomputed for every monomial, and the wall restrictions found
-# by scanning every monomial once per flip wall
+# row degrees recomputed for every monomial, the wall restrictions found by
+# scanning every monomial once per flip wall, and the unprojection split
+# built while the ideal membership is decided
 
 
 def reference_equation(record, blow, columns):
@@ -469,6 +471,31 @@ def reference_restrict_walk(model):
     return tuple(steps)
 
 
+def reference_needs_unprojection(model):
+    eq = model.equations[0]
+    c = MONO_VARIABLES.index(model.center)
+    rest = itemgetter(*(i for i in range(1, len(MONO_VARIABLES)) if i != c))
+    piece_u = set()
+    piece_center = set()
+    for m in eq.support:
+        if not any(rest(m)):
+            return None
+        if m[0]:
+            piece_u.add((m[0] - 1, *m[1:]))
+        elif m[c]:
+            piece_center.add((*m[:c], m[c] - 1, *m[c + 1 :]))
+        else:
+            return None
+    if not piece_u or not piece_center:
+        return None
+    cols = model.column_map()
+    u, center = cols["u"], cols[model.center]
+    weight = (eq.bidegree[0] - u[0] - center[0], eq.bidegree[1] - u[1] - center[1])
+    return UnprojectionData(
+        piece_u=frozenset(piece_u), piece_center=frozenset(piece_center), weight=weight
+    )
+
+
 def _all_games(records):
     for record in records:
         for entry in singular_locus(record):
@@ -495,6 +522,8 @@ def test_lookups_match_the_reference_scans(catalog):
         assert raw.equations == (
             reference_equation(record, trace.blowup, raw.column_map()),
         )
+        for model in (raw, trace.well_formed):
+            assert needs_unprojection(model) == reference_needs_unprojection(model)
         unprojected += len(trace.game_model.equations) == 2
         multi_variable_walls += sum(
             step.ambient_kind == "flip" and len(step.wall_variables) > 1
