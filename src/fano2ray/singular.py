@@ -13,6 +13,7 @@ data of the Kawamata blow-up that seeds the rank-2 toric models of
 from __future__ import annotations
 
 import operator
+from itertools import filterfalse
 from math import gcd
 
 from ._records import Record
@@ -272,7 +273,7 @@ class BlowupData(Record):
 
 def _variable_index(tangent: int | str) -> int:
     if isinstance(tangent, str):
-        if not tangent.startswith("x") or not tangent[1:].isdigit():
+        if tangent[:1] != "x" or not (tangent[1:].isascii() and tangent[1:].isdecimal()):
             raise ValueError(f"bad variable name {tangent!r}")
         return int(tangent[1:])
     return operator.index(tangent)
@@ -307,7 +308,9 @@ def blowup_weights(
     zero, excluded monomials dropped); it always agrees with the congruence
     ``multiplier * weight`` mod ``r``.  The excluded monomials are read off
     the weights, and each cost is one dot product with the dense weight
-    vector, whose center and tangent entries are still 0.  ``tangent`` is a
+    vector, whose center and tangent entries are still 0.  When the locals
+    are the site's own (the tangent is the one its normal form was taken
+    with), the site's ``singularity`` is reused.  ``tangent`` is a
     name ``"x<i>"`` or an integer (``operator.index``: a float raises
     :class:`TypeError`).
     """
@@ -326,15 +329,17 @@ def blowup_weights(
     w = record.weights
     r = entry.r
     locals_ = tuple(l for l in range(5) if l not in (c, tangent))
-    sing = normalize_terminal(r, tuple(w[l] for l in locals_), locals_)
+    sing = entry.singularity
+    if tuple(l for l, _ in sing.local_weights) != locals_:
+        sing = normalize_terminal(r, tuple(w[l] for l in locals_), locals_)
     m = sing.multiplier
     b = [(m * w[l]) % r if l in locals_ else 0 for l in range(5)]
 
     excluded = _centering_monomials(w, record.degree, c, tangent)
+    b0, b1, b2, b3, b4 = b
+    avoiding = filterfalse(operator.itemgetter(tangent), record.support() - excluded)
     costs = [
-        sum(map(operator.mul, mono, b))
-        for mono in record.support() - excluded
-        if not mono[tangent]
+        e0 * b0 + e1 * b1 + e2 * b2 + e3 * b3 + e4 * b4 for e0, e1, e2, e3, e4 in avoiding
     ]
     if not costs:
         raise UnresolvedTangent(

@@ -32,9 +32,9 @@ made) are private to this module; other modules use the functions here.
 
 from __future__ import annotations
 
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from operator import itemgetter, mul
 
 from ._records import Record
@@ -157,32 +157,22 @@ def _make_equation(support, cols: dict[str, Vec]) -> TransformedEquation:
 # anticlockwise ray order
 
 
-def _angle_cmp(ref: Vec):
-    """Total cyclic order on nonzero rays, anticlockwise starting at ``ref``."""
-
-    def sector(v: Vec) -> int:
-        d = det2(ref, v)
-        dot = ref[0] * v[0] + ref[1] * v[1]
-        if d == 0:
-            return 0 if dot > 0 else 2
-        return 1 if d > 0 else 3
-
-    def cmp(a: tuple[str, Vec], b: tuple[str, Vec]) -> int:
-        sa, sb = sector(a[1]), sector(b[1])
-        if sa != sb:
-            return -1 if sa < sb else 1
-        d = det2(a[1], b[1])
-        if d == 0:
-            return 0  # parallel rays stay adjacent, original order kept
-        return -1 if d > 0 else 1
-
-    return cmp_to_key(cmp)
-
-
 def _sort_columns(columns) -> tuple[tuple[str, Vec], ...]:
+    """The columns anticlockwise from the ``u``-ray, keyed by ``(sector, -dot *
+    (L // det))`` (``det``, ``dot`` against the ``u``-ray, ``L`` the lcm of the
+    nonzero dets): decreasing cotangent inside each half-plane, and parallel
+    rays tie, so the stable sort keeps them adjacent in input order."""
     columns = list(columns)
     ref = dict(columns)["u"]
-    return tuple(sorted(columns, key=_angle_cmp(ref)))
+    dets = [det2(ref, v) for _, v in columns]
+    scale = lcm(*filter(None, dets))
+    keys = [
+        (1 if d > 0 else 3, -(ref[0] * v[0] + ref[1] * v[1]) * (scale // d))
+        if d
+        else (0 if ref[0] * v[0] + ref[1] * v[1] > 0 else 2, 0)
+        for (_, v), d in zip(columns, dets)
+    ]
+    return tuple(columns[i] for i in sorted(range(len(columns)), key=keys.__getitem__))
 
 
 # ---------------------------------------------------------------------------
@@ -199,14 +189,14 @@ def build_model(record: FamilyRecord, blow: BlowupData) -> RankTwoModel:
     ``(cost - mu) / r`` where ``cost = sum(e_i b_i)`` and ``mu`` is the
     minimal cost over the support.
 
-    The costs (one dot product with ``b`` per monomial) give ``mu``; then one
-    pass over the working support builds every transformed vector and checks
-    its bidegree.  Its row-two degree is ``mu`` plus the remainder of
-    ``cost - mu`` mod ``r``, so the congruence is the row-two check; its
-    row-one degree is tested against ``record.degree``.  The bidegree is
-    ``(record.degree, mu)``.  An empty working support, a cost off the
-    congruence class or a monomial of another degree raises
-    :class:`NonHomogeneous`.
+    Each monomial takes one dot product with the packed weights ``w_i * base
+    + b_i``, where ``base = 2 * bound + 1`` and ``bound`` caps every ``|cost|``:
+    the value is ``degree(m) * base + cost``, so every degree is right exactly
+    when all values lie within ``bound`` of ``record.degree * base``, and
+    then the values give ``mu``, the congruence and the ``u``-exponents.  The
+    bidegree is ``(record.degree, mu)``.  An empty working support, a cost
+    off the congruence class or a monomial of another degree raises
+    :class:`NonHomogeneous`, naming the first such monomial in working order.
     """
     w, b, r, degree = record.weights, blow.b, blow.r, record.degree
     columns = _sort_columns(
@@ -216,21 +206,28 @@ def build_model(record: FamilyRecord, blow: BlowupData) -> RankTwoModel:
     working = tuple(record.support() - blow.excluded)
     if not working:
         raise NonHomogeneous("empty equation support")
-    costs = [sum(map(mul, m, b)) for m in working]
-    mu = min(costs)
-    support = []
-    for m, k in zip(working, costs):
-        u, rem = divmod(k - mu, r)
-        if rem:
-            raise NonHomogeneous(
-                f"monomial cost {k} not congruent to the multiplicity {mu} mod {r}"
-            )
-        if sum(map(mul, m, w)) != degree:
-            raise NonHomogeneous(f"monomial {m} is not of degree {degree}")
-        support.append((u, *m, 0))
-    if 0 not in map(itemgetter(0), support):
-        raise NonHomogeneous("u divides every monomial (not a proper transform)")
-    equation = TransformedEquation(support=frozenset(support), bidegree=(degree, mu))
+    bound = max(map(sum, working)) * max(map(abs, b))
+    base = 2 * bound + 1
+    p0, p1, p2, p3, p4 = (wi * base + bi for wi, bi in zip(w, b))
+    values = [
+        e0 * p0 + e1 * p1 + e2 * p2 + e3 * p3 + e4 * p4 for e0, e1, e2, e3, e4 in working
+    ]
+    low = min(values)
+    mu = low - degree * base
+    if mu < -bound or max(values) > degree * base + bound or any((v - low) % r for v in values):
+        # replay the costs in working order to name the first bad monomial
+        costs = [sum(map(mul, m, b)) for m in working]
+        mu = min(costs)
+        for m, k in zip(working, costs):
+            if (k - mu) % r:
+                raise NonHomogeneous(
+                    f"monomial cost {k} not congruent to the multiplicity {mu} mod {r}"
+                )
+            if sum(map(mul, m, w)) != degree:
+                raise NonHomogeneous(f"monomial {m} is not of degree {degree}")
+    # the least value gets u-exponent 0: the transform is proper by construction
+    support = frozenset(((v - low) // r, *m, 0) for v, m in zip(values, working))
+    equation = TransformedEquation(support=support, bidegree=(degree, mu))
     return RankTwoModel(columns=columns, equations=(equation,), center=f"y{blow.center_index}")
 
 
@@ -351,8 +348,9 @@ def needs_unprojection(model: RankTwoModel) -> UnprojectionData | None:
     c = MONO_VARIABLES.index(model.center)
     # the five positions besides u and the center: a tuple for every monomial
     rest = itemgetter(*(i for i in range(1, len(MONO_VARIABLES)) if i != c))
-    # decide first, build the pieces only for an equation in the ideal
-    if not all((m[0] or m[c]) and any(rest(m)) for m in eq.support):
+    # decide first (a monomial free of u and the center, or in them alone, is
+    # outside the ideal), build the pieces only for an equation in the ideal
+    if (0, 0) in map(itemgetter(0, c), eq.support) or (0,) * 5 in map(rest, eq.support):
         return None
     piece_u = frozenset((m[0] - 1, *m[1:]) for m in eq.support if m[0])
     piece_center = frozenset((*m[:c], m[c] - 1, *m[c + 1 :]) for m in eq.support if not m[0])

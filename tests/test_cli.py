@@ -181,6 +181,12 @@ def test_main_prints_lookup_errors_unquoted(capsys, argv, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("tangent", ["x²", "x٣"])
+def test_main_rejects_tangent_names_with_non_ascii_digits(capsys, tangent):
+    assert main(["game", "110", "--point", "p2", "--tangent", tangent]) == 1
+    assert capsys.readouterr().err == f"error: bad variable name {tangent!r}\n"
+
+
 @pytest.mark.parametrize(
     "row,edited,failure",
     [

@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+from fano2ray import singular
 from fano2ray.catalog import family, load_catalog
 from fano2ray.singular import (
     NotTerminal,
@@ -297,3 +298,46 @@ def test_excluded_monomials_match_the_support_scan_on_every_game():
                 games += 1
     assert games == 87
 
+
+
+@pytest.mark.parametrize("name", ["x²", "x٣"])
+def test_tangent_names_take_ascii_digits_only(name):
+    # str.isdigit accepts both; int() reads only the second, as x3
+    rec = family(110)
+    with pytest.raises(ValueError, match="bad variable name"):
+        blowup_weights(rec, locate(rec, "p2"), name)
+
+
+def test_blowup_reuses_the_site_normal_form_for_its_first_tangent():
+    games = 0
+    for rec in load_catalog():
+        for entry in singular_locus(rec):
+            for k, (_, tangent) in enumerate(entry.tangent_candidates):
+                blow = blowup_weights(rec, entry, tangent)
+                locals_ = tuple(l for l in range(5) if l not in (entry.center, tangent))
+                fresh = normalize_terminal(
+                    entry.r, tuple(rec.weights[l] for l in locals_), locals_
+                )
+                assert blow.singularity == fresh
+                assert (blow.singularity is entry.singularity) == (k == 0)
+                games += 1
+    assert games == 87
+
+
+def test_blowup_normalizes_only_for_the_other_tangents(monkeypatch):
+    games = [
+        (rec, entry, tangent)
+        for rec in load_catalog()
+        for entry in singular_locus(rec)
+        for _, tangent in entry.tangent_candidates
+    ]
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return normalize_terminal(*args)
+
+    monkeypatch.setattr(singular, "normalize_terminal", counting)
+    for game in games:
+        blowup_weights(*game)
+    assert (len(games), len(calls)) == (87, 21)

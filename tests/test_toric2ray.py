@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+from functools import cmp_to_key
 from math import gcd
 from operator import itemgetter, mul
 
@@ -19,6 +21,7 @@ from fano2ray.toric2ray import (
     TransformedEquation,
     UnprojectionData,
     ZeroClass,
+    _sort_columns,
     ambient_walk,
     build_model,
     det2,
@@ -536,3 +539,175 @@ def test_lookups_match_the_reference_scans(catalog):
     # where the wall monomials come from a support of the wall multiples
     expected = {"index2": (87, 9, 11), "index1": (59, 38, 21)}[catalog]
     assert (games, unprojected, multi_variable_walls) == expected
+
+
+# ---------------------------------------------------------------------------
+# reference copies of the comparator column order and of the transform loop
+# that recomputed each cost and each degree per monomial
+
+
+def reference_angle_cmp(ref):
+    def sector(v):
+        d = det2(ref, v)
+        dot = ref[0] * v[0] + ref[1] * v[1]
+        if d == 0:
+            return 0 if dot > 0 else 2
+        return 1 if d > 0 else 3
+
+    def cmp(a, b):
+        sa, sb = sector(a[1]), sector(b[1])
+        if sa != sb:
+            return -1 if sa < sb else 1
+        d = det2(a[1], b[1])
+        if d == 0:
+            return 0
+        return -1 if d > 0 else 1
+
+    return cmp_to_key(cmp)
+
+
+def reference_sort_columns(columns):
+    columns = list(columns)
+    return tuple(sorted(columns, key=reference_angle_cmp(dict(columns)["u"])))
+
+
+def reference_build_model(record, blow):
+    w, b, r, degree = record.weights, blow.b, blow.r, record.degree
+    columns = reference_sort_columns(
+        [("u", (0, -r))] + [(f"y{i}", (w[i], b[i])) for i in range(len(w))]
+    )
+    working = tuple(record.support() - blow.excluded)
+    if not working:
+        raise NonHomogeneous("empty equation support")
+    costs = [sum(map(mul, m, b)) for m in working]
+    mu = min(costs)
+    support = []
+    for m, k in zip(working, costs):
+        u, rem = divmod(k - mu, r)
+        if rem:
+            raise NonHomogeneous(
+                f"monomial cost {k} not congruent to the multiplicity {mu} mod {r}"
+            )
+        if sum(map(mul, m, w)) != degree:
+            raise NonHomogeneous(f"monomial {m} is not of degree {degree}")
+        support.append((u, *m, 0))
+    if 0 not in map(itemgetter(0), support):
+        raise NonHomogeneous("u divides every monomial (not a proper transform)")
+    equation = TransformedEquation(support=frozenset(support), bidegree=(degree, mu))
+    return RankTwoModel(columns=columns, equations=(equation,), center=f"y{blow.center_index}")
+
+
+def _outcome(build, record, blow):
+    try:
+        return build(record, blow)
+    except NonHomogeneous as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("catalog", ["index2", "index1"])
+def test_column_order_matches_the_comparator_on_every_game(catalog):
+    # the unsorted columns that build_model and unproject sort, and the same
+    # columns reversed
+    records = load_catalog() if catalog == "index2" else _index_one_records()
+    sorted_sets = 0
+    for record, trace in _all_games(records):
+        w, b, r = record.weights, trace.blowup.b, trace.blowup.r
+        raw = [("u", (0, -r))] + [(f"y{i}", (w[i], b[i])) for i in range(len(w))]
+        column_sets = [raw]
+        pieces = needs_unprojection(trace.raw)
+        if pieces is not None:
+            column_sets.append(list(trace.raw.columns) + [("y", pieces.weight)])
+        for columns in column_sets:
+            for cols in (columns, columns[::-1]):
+                assert _sort_columns(cols) == reference_sort_columns(cols)
+                sorted_sets += 1
+    assert sorted_sets == {"index2": 2 * (87 + 9), "index1": 2 * (59 + 38)}[catalog]
+
+
+def test_column_order_matches_the_comparator_on_random_columns():
+    # the u-ray points anywhere; the other rays fall in all four sectors and
+    # include multiples of the u-ray of both signs, multiples of each other
+    # and repeated vectors
+    rng = random.Random(20)
+    sectors = set()
+    parallel = anti_parallel = repeated = 0
+    for _ in range(2500):
+        ref = (0, 0)
+        while ref == (0, 0):
+            ref = (rng.randint(-6, 6), rng.randint(-6, 6))
+        vectors = []
+        for _ in range(rng.randint(1, 9)):
+            kind = rng.random()
+            if kind < 0.2:
+                k = rng.choice([-3, -2, -1, 1, 2, 3])
+                v = (k * ref[0], k * ref[1])
+            elif kind < 0.4 and vectors:
+                base = rng.choice(vectors)
+                k = rng.choice([-2, -1, 1, 2, 3])
+                v = (k * base[0], k * base[1])
+            else:
+                v = (0, 0)
+                while v == (0, 0):
+                    v = (rng.randint(-9, 9), rng.randint(-9, 9))
+            vectors.append(v)
+        columns = [(f"c{i}", v) for i, v in enumerate(vectors)]
+        columns.insert(rng.randint(0, len(columns)), ("u", ref))
+        assert _sort_columns(columns) == reference_sort_columns(columns)
+        for v in vectors:
+            d, dot = det2(ref, v), ref[0] * v[0] + ref[1] * v[1]
+            sectors.add((0 if dot > 0 else 2) if d == 0 else (1 if d > 0 else 3))
+        pairs = [(a, b) for i, a in enumerate(vectors) for b in vectors[i + 1 :]]
+        parallel += any(det2(a, b) == 0 and a[0] * b[0] + a[1] * b[1] > 0 for a, b in pairs)
+        anti_parallel += any(det2(a, b) == 0 and a[0] * b[0] + a[1] * b[1] < 0 for a, b in pairs)
+        repeated += len(set(vectors)) < len(vectors)
+    assert sectors == {0, 1, 2, 3}
+    assert min(parallel, anti_parallel, repeated) > 100
+
+
+def test_packed_degrees_match_the_reference_loop_for_any_sign_of_b():
+    # b shifted by multiples of r (negative and large entries, still on the
+    # congruence class) gives a model; arbitrary b mostly breaks the
+    # congruence; an added monomial of the wrong degree is named either way
+    class SkewedRecord(FamilyRecord):
+        def support(self):
+            return super().support() | {self.extra}
+
+    rng = random.Random(13)
+    models = 0
+    messages = []
+    for record, trace in _all_games(load_catalog()):
+        blow = trace.blowup
+        shifts = [
+            [rng.randint(-40, 40) for _ in blow.b],
+            [rng.choice([-1, 1]) * rng.randint(10**5, 10**7) for _ in blow.b],
+        ]
+        variants = [tuple(x + blow.r * k for x, k in zip(blow.b, s)) for s in shifts]
+        variants.append(tuple(rng.randint(-60, 60) for _ in blow.b))
+        variants.append(tuple(rng.randint(-(10**9), 10**9) for _ in blow.b))
+        for b in variants:
+            candidate = blow._replace(b=b)
+            expected = _outcome(reference_build_model, record, candidate)
+            assert _outcome(build_model, record, candidate) == expected
+            if isinstance(expected, RankTwoModel):
+                models += 1
+            else:
+                messages.append(expected[1])
+        # a monomial of degree one more or one less, on a random exponent
+        for delta in (1, -1):
+            w = record.weights
+            extra = [0] * 5
+            extra[rng.randrange(5)] = (record.degree + delta) // min(w) or 1
+            skewed = SkewedRecord(*record)
+            skewed.extra = tuple(extra)
+            if sum(map(mul, skewed.extra, w)) == record.degree:
+                continue
+            for b in (blow.b, variants[0]):
+                candidate = blow._replace(b=b)
+                expected = _outcome(reference_build_model, skewed, candidate)
+                assert _outcome(build_model, skewed, candidate) == expected
+                messages.append(expected[1])
+    assert models >= 2 * 87
+    congruence = sum("not congruent" in m for m in messages)
+    degree = sum("is not of degree" in m for m in messages)
+    assert congruence + degree == len(messages)
+    assert min(congruence, degree) > 50
