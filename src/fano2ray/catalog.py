@@ -72,23 +72,40 @@ def _support(weights: Weights, degree: int) -> frozenset[Monomial]:
         return frozenset({(degree // w,)}) if degree % w == 0 else frozenset()
     order = sorted(range(len(weights)), key=weights.__getitem__)
     least, w2 = weights[order[0]], weights[order[1]]
-    # each exponent is prepended, so a vector lists its exponents by ``order``,
-    # which is positional when the weights are nondecreasing (every family)
-    partial = [(degree, ())]
-    for i in reversed(order[2:]):
-        w = weights[i]
-        partial = [(r - e * w, (e,) + exps) for r, exps in partial for e in range(r // w + 1)]
     # e*w2 + f*least == r needs g | r; then e runs over one residue class
     # mod least // g and f is forced
     g = gcd(w2, least)
     m = least // g
     inverse = pow(w2 // g, -1, m)
-    vectors = (
-        ((r - e * w2) // least, e) + exps
-        for r, exps in partial
-        if r % g == 0
-        for e in range(r // g * inverse % m, r // w2 + 1, m)
-    )
+    # a vector lists its exponents by ``order``, which is positional when the
+    # weights are nondecreasing (every family)
+    if len(weights) == 5:
+        # every family and candidate: nested loops over the three heaviest
+        # exponents, one tuple per vector
+        a2, a3, a4 = map(weights.__getitem__, order[2:])
+        vectors = []
+        add = vectors.append
+        for e4 in range(degree // a4 + 1):
+            r4 = degree - e4 * a4
+            for e3 in range(r4 // a3 + 1):
+                r3 = r4 - e3 * a3
+                for e2 in range(r3 // a2 + 1):
+                    r = r3 - e2 * a2
+                    if r % g == 0:
+                        for e1 in range(r // g * inverse % m, r // w2 + 1, m):
+                            add(((r - e1 * w2) // least, e1, e2, e3, e4))
+    else:
+        # each exponent is prepended, heaviest first, carrying the residual
+        partial = [(degree, ())]
+        for i in reversed(order[2:]):
+            w = weights[i]
+            partial = [(r - e * w, (e,) + exps) for r, exps in partial for e in range(r // w + 1)]
+        vectors = (
+            ((r - e * w2) // least, e) + exps
+            for r, exps in partial
+            if r % g == 0
+            for e in range(r // g * inverse % m, r // w2 + 1, m)
+        )
     if order != sorted(order):
         positional = operator.itemgetter(*sorted(range(len(order)), key=order.__getitem__))
         vectors = map(positional, vectors)
@@ -99,12 +116,15 @@ def monomial_support(weights: Weights, degree: int) -> frozenset[Monomial]:
     """All exponent vectors ``e`` with ``sum(e_i * weights_i) == degree``.
 
     The exponents of all variables but the two lightest are enumerated,
-    heaviest weight first, carrying the residual degree ``r``.  The last two
-    exponents solve ``e * w2 + f * least == r``, with ``w2`` the second-least
-    weight: there is a solution only when ``g = gcd(w2, least)`` divides
-    ``r``, and then ``e`` runs over one residue class modulo ``least // g``
-    and ``f`` is forced, so every vector built is kept.  Only whole supports
-    are cached, keyed by ``(weights, degree)``, in a cache of bounded size.
+    heaviest weight first, carrying the residual degree ``r``.  With five
+    weights (every family and candidate) they are three nested loops, and
+    each vector is built as one tuple; other arities extend partial vectors
+    one variable at a time.  The last two exponents solve
+    ``e * w2 + f * least == r``, with ``w2`` the second-least weight: there
+    is a solution only when ``g = gcd(w2, least)`` divides ``r``, and then
+    ``e`` runs over one residue class modulo ``least // g`` and ``f`` is
+    forced, so every vector built is kept.  Only whole supports are cached,
+    keyed by ``(weights, degree)``, in a cache of bounded size.
 
     Inputs must be integers (``operator.index``): a float or a string raises
     :class:`TypeError`, a non-positive weight :class:`ValueError`.  The empty

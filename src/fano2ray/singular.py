@@ -99,13 +99,15 @@ def normalize_terminal(
     the other two weights sum to 0 mod ``r``; so each entry ``i`` admits at
     most one multiplier and no search is needed.  Raises :class:`NotTerminal`
     when no entry admits one (the germ is then not a terminal threefold
-    point).
+    point), and also when ``weights`` or ``variables`` is not of length 3.
     """
     if r < 2:
         raise NotTerminal(f"quotient order must be at least 2, got {r}")
     residues = tuple(w % r for w in weights)
     if len(residues) != 3:
         raise NotTerminal("need exactly three local weights")
+    if len(variables) != 3:
+        raise NotTerminal(f"need exactly three local variables, got {len(variables)}")
     for w in residues:
         if gcd(w, r) != 1:
             raise NotTerminal(f"local weight {w} shares a factor with r={r}")

@@ -151,7 +151,7 @@ def test_monomial_support_counts_and_members():
     assert monomial_support((1, 2, 3, 5, 9), -1) == frozenset()
 
 
-@pytest.mark.parametrize("fid", [100, 101, 102, 103, 110, 122])
+@pytest.mark.parametrize("fid", range(96, 131))
 def test_monomial_support_against_brute_force(fid):
     r = family(fid)
     assert set(monomial_support(r.weights, r.degree)) == brute_support(r.weights, r.degree)
@@ -170,6 +170,11 @@ def test_monomial_support_against_brute_force(fid):
 @example([3, 3, 5], 11)  # the two lightest weights are tied
 @example([5, 1, 3, 2], 13)  # unsorted, so vectors are permuted into position
 @example([4, 6], 10)  # two weights, no heavy exponent
+@example([9, 4, 6, 1, 3], 30)  # five weights, unsorted
+@example([2, 2, 3, 3, 5], 17)  # five weights, tied in pairs
+@example([4, 6, 9, 10, 15], 41)  # gcd 2 of the two lightest misses odd residuals
+@example([3, 1, 4, 1, 5], 0)  # five weights, degree 0: only the constant
+@example([5, 7, 6, 8, 9], 4)  # five weights, degree below the least weight
 def test_monomial_support_matches_coin_change_count(weights, degree):
     count = coin_change_count(weights, degree)
     assume(count <= 3000)
@@ -184,7 +189,7 @@ def test_monomial_support_matches_coin_change_count(weights, degree):
 
 def test_monomial_support_matches_reference_on_seeded_candidates():
     # every shape: 0-6 weights, unsorted and tied, negative to large degrees,
-    # plus sorted five-weight candidates of Fano index 2..20
+    # plus five-weight candidates of Fano index 2..20, sorted and then unsorted
     rng = random.Random(20)
     candidates = [
         (tuple(rng.randint(1, 12) for _ in range(rng.randint(0, 6))), rng.randint(-2, 40))
@@ -192,6 +197,9 @@ def test_monomial_support_matches_reference_on_seeded_candidates():
     ]
     while len(candidates) < 3000:
         weights = tuple(sorted(rng.randint(1, 20) for _ in range(5)))
+        candidates.append((weights, sum(weights) - rng.randint(2, 20)))
+    while len(candidates) < 3500:
+        weights = tuple(rng.randint(1, 20) for _ in range(5))
         candidates.append((weights, sum(weights) - rng.randint(2, 20)))
     for weights, degree in candidates:
         assert monomial_support(weights, degree) == reference_support(weights, degree)

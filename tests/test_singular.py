@@ -73,6 +73,12 @@ def test_normalize_terminal_rejects_non_terminal():
         normalize_terminal(5, (1, 1, 1))
     with pytest.raises(NotTerminal):
         normalize_terminal(4, (2, 1, 1))  # shared factor with r
+    # zip truncated the variables: two gave two local weights, and a fourth
+    # was dropped without an error
+    with pytest.raises(NotTerminal, match="three local variables, got 2"):
+        normalize_terminal(5, (1, 2, 3), (0, 1))
+    with pytest.raises(NotTerminal, match="three local variables, got 4"):
+        normalize_terminal(5, (1, 2, 3), (0, 1, 2, 3))
 
 
 def reference_normalize_terminal(r, weights, variables=(0, 1, 2)):
