@@ -1,7 +1,7 @@
 """``Record``: immutable records written as class bodies, built on
 :func:`collections.namedtuple`.
 
-``class Vertex(Record):`` with annotated fields in order, defaults, a
+``class Site(Record):`` with annotated fields in order, defaults, a
 docstring, methods and properties gives the class ``typing.NamedTuple``
 would give, without importing :mod:`typing` (a few milliseconds of every
 cold start) or turning each annotation into a ``ForwardRef``: the

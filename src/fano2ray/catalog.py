@@ -312,6 +312,8 @@ def _by_family(rows: list) -> dict[int, tuple]:
 
 
 def _link_row(fam, point, ktype, label, tweights, tdegrees, construction) -> LinkExpectation:
+    if construction not in ("hypersurface", "unprojection"):
+        raise ValueError(f"construction must be hypersurface or unprojection: {construction!r}")
     return LinkExpectation(
         family=int(fam),
         point=point,
@@ -326,6 +328,8 @@ def _link_row(fam, point, ktype, label, tweights, tdegrees, construction) -> Lin
 def _exclusion_row(
     fam, site, tangent, count, ltype, keys, blowup, corrected, verdict
 ) -> ExclusionExpectation:
+    if tangent not in ("x0", "x1", "x2", "x3", "x4"):
+        raise ValueError(f"tangent must be one of x0..x4, got {tangent!r}")
     return ExclusionExpectation(
         family=int(fam),
         site=site,
@@ -359,8 +363,6 @@ def _validate(records: tuple[FamilyRecord, ...]) -> None:
             raise CatalogError(f"family {r.id}: weights not nondecreasing")
         if well_form_weights(r.weights) != r.weights:
             raise CatalogError(f"family {r.id}: ambient weights not well-formed")
-        if r.index < 1:
-            raise CatalogError(f"family {r.id}: non-positive Fano index")
         if not r.support():
             raise CatalogError(f"family {r.id}: empty monomial support")
 
@@ -377,11 +379,14 @@ def _load_catalog(data_dir: str) -> tuple[FamilyRecord, ...]:
         h_degree = None if h == "-" else int(h)
         if h_degree is not None and h_degree < 1:
             raise ValueError(f"h must be a positive integer or -, got {h!r}")
-        fam_id = int(fam)
+        fam_id, weights, degree = int(fam), _ints(weights), int(degree)
+        # raises on a weight count other than 5 or a weight <= 0
+        if fano_index(weights, degree) < 1:
+            raise ValueError("non-positive Fano index")
         return FamilyRecord(
             id=fam_id,
-            weights=_ints(weights),
-            degree=int(degree),
+            weights=weights,
+            degree=degree,
             rational=rational == "yes",
             expected=FamilyExpectations(
                 links=links.get(fam_id, ()),

@@ -478,13 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    command = Command(
-        verb=args.verb,
-        family=getattr(args, "family", None),
-        point=getattr(args, "point", None),
-        tangent=getattr(args, "tangent", None),
-        format=args.format,
-    )
+    command = Command(**vars(args))
     try:
         status, report = run(command)
     except (KeyError, ValueError, OSError) as err:

@@ -37,7 +37,7 @@ from .catalog import (
     weighted_degree,
 )
 from .exclusion import SoliditySummary, smooth_point_test, solidity_summary
-from .singular import BlowupData, SingularLocusEntry, Stratum, blowup_weights, locate
+from .singular import BlowupData, SingularLocusEntry, blowup_weights, locate
 from .toric2ray import (
     DivisorialTarget,
     LatticeError,
@@ -248,7 +248,7 @@ def _consistent_key_fix(record: FamilyRecord, bad: Monomial, center: int) -> str
 
 def _check_keys(record, entry, exp, report: Report) -> None:
     candidates = {key for key, _ in entry.tangent_candidates}
-    if isinstance(entry.site, Stratum):
+    if len(entry.site.variables) == 2:
         i, j = entry.site.variables
         w = record.weights
         candidates |= {
@@ -293,7 +293,7 @@ def _check_links(records, games: dict, report: Report) -> None:
                     f"family {record.id} {exp.point}: expected {expected}, got {computed} "
                     f"({outcome.kind})"
                 )
-            r = trace.blowup.r
+            r = trace.blowup.singularity.r
             derived_type = trace.blowup.singularity.per_variable_form
             if tuple(exp.kawamata_type) != derived_type:
                 report.add_deviation(

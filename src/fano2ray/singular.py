@@ -32,36 +32,15 @@ class UnresolvedTangent(ValueError):
 # sites
 
 
-class Vertex(Record):
-    """A coordinate point ``p_i`` of the ambient space."""
+class Site(Record):
+    """A coordinate point ``p_i`` (one variable) or the one-dimensional
+    coordinate stratum through ``p_i`` and ``p_j`` (two variables)."""
 
-    index: int
-
-    @property
-    def label(self) -> str:
-        return f"p{self.index}"
-
-    @property
-    def variables(self) -> tuple[int, ...]:
-        return (self.index,)
-
-
-class Stratum(Record):
-    """The one-dimensional coordinate stratum through ``p_i`` and ``p_j``."""
-
-    first: int
-    second: int
+    variables: tuple[int, ...]
 
     @property
     def label(self) -> str:
-        return f"p{self.first}p{self.second}"
-
-    @property
-    def variables(self) -> tuple[int, ...]:
-        return (self.first, self.second)
-
-
-Site = Vertex | Stratum
+        return "p" + "p".join(map(str, self.variables))
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +151,7 @@ def _vertex_entry(record: FamilyRecord, i: int) -> SingularLocusEntry | None:
     locals_ = tuple(l for l in range(5) if l not in (i, j0))
     sing = normalize_terminal(r, tuple(w[l] for l in locals_), locals_)
     return SingularLocusEntry(
-        site=Vertex(i), count=1, tangent_candidates=tuple(keys), singularity=sing, center=i
+        site=Site((i,)), count=1, tangent_candidates=tuple(keys), singularity=sing, center=i
     )
 
 
@@ -205,7 +184,7 @@ def _stratum_entry(record: FamilyRecord, i: int, j: int) -> SingularLocusEntry |
     locals_ = tuple(l for l in range(5) if l not in (i, j))
     sing = normalize_terminal(r, tuple(w[l] for l in locals_), locals_)
     return SingularLocusEntry(
-        site=Stratum(i, j),
+        site=Site((i, j)),
         count=count,
         tangent_candidates=candidates,
         singularity=sing,
@@ -261,7 +240,8 @@ class BlowupData(Record):
     candidates); they must be dropped from the equation before transforming.
     ``singularity`` is the germ normalized over the locals transverse to the
     center and the tangent; its ``per_variable_form`` is the Kawamata format
-    of the game.
+    of the game, and its ``r`` the order of the point, whose center variable
+    is ``center_entry.center``.
     """
 
     center_entry: SingularLocusEntry
@@ -269,8 +249,6 @@ class BlowupData(Record):
     b: tuple[int, ...]
     singularity: QuotientSingularity
     excluded: frozenset[Monomial]
-    r: int
-    center_index: int
 
 
 def _variable_index(tangent: int | str) -> int:
@@ -360,6 +338,4 @@ def blowup_weights(
         b=tuple(b),
         singularity=sing,
         excluded=excluded,
-        r=r,
-        center_index=c,
     )

@@ -46,6 +46,8 @@ Vec = tuple[int, int]
 MONO_VARIABLES = ("u", "y0", "y1", "y2", "y3", "y4", "y")
 #: A transformed monomial: one exponent per entry of :data:`MONO_VARIABLES`.
 Mono = tuple[int, ...]
+#: The supports ``(A, B)`` of the split ``g = u*A + y_c*B`` of an unprojection.
+Pieces = tuple[frozenset[Mono], frozenset[Mono]]
 _ZERO: Mono = (0,) * len(MONO_VARIABLES)
 _UNIT: dict[str, Mono] = {
     lab: tuple(int(v == lab) for v in MONO_VARIABLES) for lab in MONO_VARIABLES
@@ -140,19 +142,6 @@ class RankTwoModel(_ModelFields):
         return walls, {lab: gi for gi, w in enumerate(walls) for lab in w.labels}
 
 
-def _make_equation(support, cols: dict[str, Vec]) -> TransformedEquation:
-    support = frozenset(support)
-    if not support:
-        raise NonHomogeneous("empty equation support")
-    row1, row2 = zip(*(cols.get(lab, (0, 0)) for lab in MONO_VARIABLES))
-    degrees = {(sum(map(mul, m, row1)), sum(map(mul, m, row2))) for m in support}
-    if len(degrees) != 1:
-        raise NonHomogeneous(f"support carries multiple bidegrees {sorted(degrees)}")
-    if all(m[0] > 0 for m in support):
-        raise NonHomogeneous("u divides every monomial (not a proper transform)")
-    return TransformedEquation(support=support, bidegree=degrees.pop())
-
-
 # ---------------------------------------------------------------------------
 # anticlockwise ray order
 
@@ -198,7 +187,7 @@ def build_model(record: FamilyRecord, blow: BlowupData) -> RankTwoModel:
     off the congruence class or a monomial of another degree raises
     :class:`NonHomogeneous`, naming the first such monomial in working order.
     """
-    w, b, r, degree = record.weights, blow.b, blow.r, record.degree
+    w, b, r, degree = record.weights, blow.b, blow.singularity.r, record.degree
     columns = _sort_columns(
         [("u", (0, -r))] + [(f"y{i}", (w[i], b[i])) for i in range(len(w))]
     )
@@ -228,7 +217,8 @@ def build_model(record: FamilyRecord, blow: BlowupData) -> RankTwoModel:
     # the least value gets u-exponent 0: the transform is proper by construction
     support = frozenset(((v - low) // r, *m, 0) for v, m in zip(values, working))
     equation = TransformedEquation(support=support, bidegree=(degree, mu))
-    return RankTwoModel(columns=columns, equations=(equation,), center=f"y{blow.center_index}")
+    center = f"y{blow.center_entry.center}"
+    return RankTwoModel(columns=columns, equations=(equation,), center=center)
 
 
 def _hnf_basis(vectors: list[Vec]) -> tuple[int, int, int]:
@@ -319,28 +309,14 @@ def regrade(model: RankTwoModel, matrix: tuple[Vec, Vec]) -> RankTwoModel:
 # unprojection
 
 
-class UnprojectionData(Record):
-    """The split ``g = u*A + y_c*B`` and the weight of the new variable.
-
-    ``piece_u`` is the support of ``A`` and ``piece_center`` the support of
-    ``B``; the unprojection variable ``y = -A/y_c = B/u`` has bidegree
-    ``deg(g) - deg(u) - deg(y_c)`` in the grading of the model the split was
-    computed in.  Eliminating ``y`` from the two equations recovers ``g``.
-    """
-
-    piece_u: frozenset[Mono]
-    piece_center: frozenset[Mono]
-    weight: Vec
-
-
-def needs_unprojection(model: RankTwoModel) -> UnprojectionData | None:
-    """The split of the equation when it lies in the irrelevant ideal.
+def needs_unprojection(model: RankTwoModel) -> Pieces | None:
+    """The split ``g = u*A + y_c*B`` when the equation lies in the irrelevant
+    ideal: the supports ``(A, B)``, else ``None``.
 
     The equation lies there exactly when every support monomial is divisible
     both by a variable of the low side ``(u, center)`` and by one of the
     remaining variables, and the two pieces (u-multiples stripped of one
-    ``u``, the rest stripped of one center variable) are both nonempty;
-    otherwise the result is ``None``.
+    ``u``, the rest stripped of one center variable) are both nonempty.
     """
     if len(model.equations) != 1:
         raise ValueError("unprojection test expects a single-equation model")
@@ -356,24 +332,27 @@ def needs_unprojection(model: RankTwoModel) -> UnprojectionData | None:
     piece_center = frozenset((*m[:c], m[c] - 1, *m[c + 1 :]) for m in eq.support if not m[0])
     if not piece_u or not piece_center:
         return None
+    return piece_u, piece_center
+
+
+def unproject(model: RankTwoModel, pieces: Pieces) -> RankTwoModel:
+    """Adjoin the unprojection variable ``y = -A/y_c = B/u`` and replace ``g``
+    by the two equations ``y*y_c + A`` and ``-u*y + B`` (supports only; signs
+    are immaterial).  Every degree is read off the split: ``deg A = deg g -
+    deg u``, ``deg B = deg g - deg y_c`` and ``deg y = deg g - deg u - deg
+    y_c``.  Eliminating ``y`` from the two equations recovers ``g``."""
     cols = model.column_map()
-    u, center = cols["u"], cols[model.center]
-    weight = (eq.bidegree[0] - u[0] - center[0], eq.bidegree[1] - u[1] - center[1])
-    return UnprojectionData(piece_u=piece_u, piece_center=piece_center, weight=weight)
-
-
-def unproject(model: RankTwoModel, pieces: UnprojectionData) -> RankTwoModel:
-    """Adjoin the unprojection variable and replace ``g`` by the two equations
-    ``y*y_c + A`` and ``-u*y + B`` (supports only; signs are immaterial)."""
-    if "y" in model.column_map():
+    if "y" in cols:
         raise ValueError("model already carries an unprojection variable")
-    columns = _sort_columns(list(model.columns) + [("y", pieces.weight)])
-    colmap = dict(columns)
+    piece_u, piece_center = pieces
+    (g1, g2), (u1, u2), (c1, c2) = model.equations[0].bidegree, cols["u"], cols[model.center]
+    columns = _sort_columns(list(model.columns) + [("y", (g1 - u1 - c1, g2 - u2 - c2))])
     y_center = tuple(int(lab in ("y", model.center)) for lab in MONO_VARIABLES)
     u_y = tuple(int(lab in ("u", "y")) for lab in MONO_VARIABLES)
-    eq1 = {y_center} | pieces.piece_u
-    eq2 = {u_y} | pieces.piece_center
-    equations = (_make_equation(eq1, colmap), _make_equation(eq2, colmap))
+    equations = (
+        TransformedEquation(support=piece_u | {y_center}, bidegree=(g1 - u1, g2 - u2)),
+        TransformedEquation(support=piece_center | {u_y}, bidegree=(g1 - c1, g2 - c2)),
+    )
     return RankTwoModel(columns=columns, equations=equations, center=model.center)
 
 

@@ -269,6 +269,8 @@ def test_well_form_weights_rejects_non_integers():
         ("110 1,3,5,7,8 21 maybe 15", "'maybe'"),
         ("110 1,3,5,7,8 21 no fifteen", "'fifteen'"),
         ("110 1,3,5,7,8 21 no 0", "h must be a positive integer or -, got '0'"),
+        ("110 1,3,5,7 21 no 15", "expected 5 ambient weights, got 4"),
+        ("110 0,3,5,7,8 21 no 15", "weights must be positive"),
     ],
 )
 def test_unreadable_family_line_names_file_and_line(
@@ -289,6 +291,43 @@ def test_unreadable_family_line_names_file_and_line(
     assert main(["catalog"]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {where}") and message in err
+
+
+@pytest.mark.parametrize(
+    "name, row, edited, message",
+    [
+        (
+            "exclusions.txt",
+            "100 p2p4 x4 2",
+            "100 p2p4 y4 2",
+            "tangent must be one of x0..x4, got 'y4'",
+        ),
+        (
+            "link_targets.txt",
+            "110 p4 3,2,5 cE7 1,1,1,2,3 7 hypersurface",
+            "110 p4 3,2,5 cE7 1,1,1,2,3 7 hypersurfce",
+            "construction must be hypersurface or unprojection: 'hypersurfce'",
+        ),
+    ],
+    ids=["tangent", "construction"],
+)
+def test_bad_expectation_value_names_file_and_line(
+    tmp_path, monkeypatch, name, row, edited, message
+):
+    # a tangent outside x0..x4 used to replay another game, and a misspelled
+    # construction passed as a hypersurface link
+    data = tmp_path / "data"
+    shutil.copytree(Path(fano2ray.__file__).parent / "data", data)
+    path = data / name
+    lines = path.read_text(encoding="utf-8").splitlines()
+    number = next(n for n, text in enumerate(lines, 1) if text.startswith(row))
+    lines[number - 1] = lines[number - 1].replace(row, edited)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    monkeypatch.setenv("FANO2RAY_DATA", str(data))
+
+    where = f"{path}, line {number}: "
+    with pytest.raises(CatalogError, match=re.escape(where + message)):
+        load_catalog()
 
 
 def test_catalog_weights_are_well_formed():

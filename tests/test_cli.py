@@ -236,12 +236,18 @@ def test_verify_markdown_sections():
     assert md.rstrip().endswith("OK")
 
 
-GOLDEN_VERIFY = Path(__file__).parent / "golden" / "verify.json"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_verify_json_matches_golden(capsys):
     assert main(["verify", "--format", "json"]) == 0
-    assert capsys.readouterr().out.encode("utf-8") == GOLDEN_VERIFY.read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / "verify.json").read_bytes()
+
+
+def test_verify_markdown_matches_golden(capsys):
+    # markdown is the default format
+    assert main(["verify"]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / "verify.md").read_bytes()
 
 
 def test_game_json_independent_of_hash_seed():

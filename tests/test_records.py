@@ -17,7 +17,6 @@ from fano2ray.catalog import family
 from fano2ray.exclusion import curve_test, fibration_witness, solidity_summary
 from fano2ray.linkengine import run_game, verify_tables
 from fano2ray.singular import locate
-from fano2ray.toric2ray import needs_unprojection
 
 MODULES = (catalog, singular, toric2ray, linkengine, exclusion, cli)
 
@@ -58,18 +57,28 @@ def _one_of_each() -> dict[type, object]:
         trace, outcome = run_game(record, locate(record, point), tangent)
         objs += [trace, outcome, outcome.model, trace.blowup, trace.blowup.center_entry.site]
         objs += [trace.raw, trace.raw.equations[0], trace.steps[0], trace.final_target]
-        objs.append(needs_unprojection(trace.raw))
     return {type(obj): obj for obj in objs if obj is not None}
 
 
 RECORDS = _one_of_each()
+
+#: Each record instance by the name of its type; ``Site`` is checked in both
+#: of its shapes, a coordinate point ``Vertex`` and a coordinate ``Stratum``.
+CASES = {type(obj).__name__: obj for obj in RECORDS.values() if not isinstance(obj, singular.Site)}
+CASES["Vertex"] = locate(family(100), "p3").site
+CASES["Stratum"] = locate(family(100), "p2p4").site
 
 
 def test_every_public_record_type_is_covered():
     assert set(RECORDS) == _public_record_types()
 
 
-@pytest.mark.parametrize("obj", RECORDS.values(), ids=lambda obj: type(obj).__name__)
+def test_site_cases_are_a_vertex_and_a_stratum():
+    assert len(CASES["Vertex"].variables) == 1
+    assert len(CASES["Stratum"].variables) == 2
+
+
+@pytest.mark.parametrize("obj", CASES.values(), ids=CASES)
 def test_records_refuse_field_assignment(obj):
     for name in obj._fields:
         with pytest.raises(AttributeError):

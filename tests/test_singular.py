@@ -10,9 +10,8 @@ from fano2ray.catalog import family, load_catalog
 from fano2ray.singular import (
     NotTerminal,
     QuotientSingularity,
-    Stratum,
+    Site,
     UnresolvedTangent,
-    Vertex,
     blowup_weights,
     locate,
     normalize_terminal,
@@ -143,7 +142,7 @@ def test_singular_locus_110():
     by_label = {e.site.label: e for e in entries}
     assert set(by_label) == {"p2", "p4"}
     p4 = by_label["p4"]
-    assert p4.site == Vertex(4)
+    assert p4.site == Site((4,))
     assert p4.r == 8
     assert [(f"x{t}") for _, t in p4.tangent_candidates] == ["x2"]
     key = p4.tangent_candidates[0][0]
@@ -159,7 +158,8 @@ def test_singular_locus_110():
 def test_singular_locus_100_stratum():
     entries = singular_locus(family(100))
     stratum = locate(family(100), "p2p4")
-    assert stratum.site == Stratum(2, 4)
+    assert stratum.site == Site((2, 4))
+    assert stratum.site.label == "p2p4"
     assert stratum.count == 2
     assert stratum.r == 3
     assert dict(stratum.singularity.local_weights) == {0: 1, 1: 2, 3: 2}
@@ -197,7 +197,7 @@ def test_blowup_weights_100_p3():
     rec = family(100)
     blow = blowup_weights(rec, locate(rec, "p3"), "x2")
     assert blow.b == (3, 1, 4, 0, 2)
-    assert blow.r == 5
+    assert blow.singularity.r == 5
     assert blow.singularity.multiplier == 3
     # tangent weight agrees with the congruence value 3*3 mod 5 and with the
     # doubled weight of x4 (the monomial x4^2 realizes the minimum)
@@ -208,10 +208,10 @@ def test_blowup_weights_110():
     rec = family(110)
     p4 = blowup_weights(rec, locate(rec, "p4"), "x2")
     assert p4.b == (3, 1, 7, 5, 0)
-    assert p4.r == 8
+    assert p4.singularity.r == 8
     p2 = blowup_weights(rec, locate(rec, "p2"), "x0")
     assert p2.b == (2, 1, 0, 4, 1)
-    assert p2.r == 5
+    assert p2.singularity.r == 5
 
 
 def scanned_exclusions(support, center, tangent):
@@ -267,9 +267,10 @@ def test_tangent_weight_against_brute_force(fid, point, tangent):
     for i, v in enumerate(blow.b):
         if i == entry.center:
             continue
-        assert (v - blow.singularity.multiplier * rec.weights[i]) % blow.r == 0
+        sing = blow.singularity
+        assert (v - sing.multiplier * rec.weights[i]) % sing.r == 0
         if i != tangent:
-            assert 1 <= v <= blow.r - 1
+            assert 1 <= v <= sing.r - 1
 
 
 def test_blowup_rejects_bad_tangent():

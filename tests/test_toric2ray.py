@@ -19,7 +19,6 @@ from fano2ray.toric2ray import (
     NonHomogeneous,
     RankTwoModel,
     TransformedEquation,
-    UnprojectionData,
     ZeroClass,
     _sort_columns,
     ambient_walk,
@@ -108,7 +107,7 @@ def test_build_model_rejects_costs_off_the_congruence_class():
     # b = (3, 1, 4, 0, 2) mod r = 5 at 100 p3; one more on x0 breaks it
     rec = family(100)
     blow = blowup_weights(rec, locate(rec, "p3"), "x2")
-    assert (blow.b, blow.r) == ((3, 1, 4, 0, 2), 5)
+    assert (blow.b, blow.singularity.r) == ((3, 1, 4, 0, 2), 5)
     with pytest.raises(NonHomogeneous, match="not congruent to the multiplicity 4 mod 5"):
         build_model(rec, blow._replace(b=(4, 1, 4, 0, 2)))
 
@@ -391,7 +390,7 @@ def test_match_recorded_grading_rejects_non_integral_image():
 
 
 def reference_equation(record, blow, columns):
-    w, b, r = record.weights, blow.b, blow.r
+    w, b, r = record.weights, blow.b, blow.singularity.r
     working = record.support() - blow.excluded
     cost = {m: sum(map(mul, m, b)) for m in working}
     mu = min(cost.values())
@@ -491,12 +490,17 @@ def reference_needs_unprojection(model):
             return None
     if not piece_u or not piece_center:
         return None
-    cols = model.column_map()
-    u, center = cols["u"], cols[model.center]
-    weight = (eq.bidegree[0] - u[0] - center[0], eq.bidegree[1] - u[1] - center[1])
-    return UnprojectionData(
-        piece_u=frozenset(piece_u), piece_center=frozenset(piece_center), weight=weight
-    )
+    return frozenset(piece_u), frozenset(piece_center)
+
+
+def assert_bihomogeneous_and_proper(model):
+    # every monomial of each equation has that equation's bidegree under the
+    # model's columns, and u does not divide every monomial
+    row1, row2 = zip(*(model.column_map().get(lab, (0, 0)) for lab in MONO_VARIABLES))
+    for eq in model.equations:
+        degrees = {(sum(map(mul, m, row1)), sum(map(mul, m, row2))) for m in eq.support}
+        assert degrees == {eq.bidegree}
+        assert not all(m[0] for m in eq.support)
 
 
 def _all_games(records):
@@ -516,7 +520,8 @@ def _index_one_records():
 @pytest.mark.parametrize("catalog", ["index2", "index1"])
 def test_lookups_match_the_reference_scans(catalog):
     # every game model, in its own grading and regraded by three unimodular
-    # matrices, and every raw equation
+    # matrices, every raw equation, and the unprojection of every raw model
+    # in its raw, well-formed and one regraded grading
     records = load_catalog() if catalog == "index2" else _index_one_records()
     games = unprojected = multi_variable_walls = 0
     for record, trace in _all_games(records):
@@ -525,8 +530,11 @@ def test_lookups_match_the_reference_scans(catalog):
         assert raw.equations == (
             reference_equation(record, trace.blowup, raw.column_map()),
         )
-        for model in (raw, trace.well_formed):
-            assert needs_unprojection(model) == reference_needs_unprojection(model)
+        for model in (raw, trace.well_formed, regrade(raw, ((2, 1), (1, 1)))):
+            pieces = needs_unprojection(model)
+            assert pieces == reference_needs_unprojection(model)
+            if pieces is not None:
+                assert_bihomogeneous_and_proper(unproject(model, pieces))
         unprojected += len(trace.game_model.equations) == 2
         multi_variable_walls += sum(
             step.ambient_kind == "flip" and len(step.wall_variables) > 1
@@ -572,7 +580,7 @@ def reference_sort_columns(columns):
 
 
 def reference_build_model(record, blow):
-    w, b, r, degree = record.weights, blow.b, blow.r, record.degree
+    w, b, r, degree = record.weights, blow.b, blow.singularity.r, record.degree
     columns = reference_sort_columns(
         [("u", (0, -r))] + [(f"y{i}", (w[i], b[i])) for i in range(len(w))]
     )
@@ -594,7 +602,8 @@ def reference_build_model(record, blow):
     if 0 not in map(itemgetter(0), support):
         raise NonHomogeneous("u divides every monomial (not a proper transform)")
     equation = TransformedEquation(support=frozenset(support), bidegree=(degree, mu))
-    return RankTwoModel(columns=columns, equations=(equation,), center=f"y{blow.center_index}")
+    center = f"y{blow.center_entry.center}"
+    return RankTwoModel(columns=columns, equations=(equation,), center=center)
 
 
 def _outcome(build, record, blow):
@@ -611,12 +620,12 @@ def test_column_order_matches_the_comparator_on_every_game(catalog):
     records = load_catalog() if catalog == "index2" else _index_one_records()
     sorted_sets = 0
     for record, trace in _all_games(records):
-        w, b, r = record.weights, trace.blowup.b, trace.blowup.r
+        w, b, r = record.weights, trace.blowup.b, trace.blowup.singularity.r
         raw = [("u", (0, -r))] + [(f"y{i}", (w[i], b[i])) for i in range(len(w))]
         column_sets = [raw]
-        pieces = needs_unprojection(trace.raw)
-        if pieces is not None:
-            column_sets.append(list(trace.raw.columns) + [("y", pieces.weight)])
+        if trace.unprojected:
+            y = trace.raw_unprojected.column_map()["y"]
+            column_sets.append(list(trace.raw.columns) + [("y", y)])
         for columns in column_sets:
             for cols in (columns, columns[::-1]):
                 assert _sort_columns(cols) == reference_sort_columns(cols)
@@ -681,7 +690,7 @@ def test_packed_degrees_match_the_reference_loop_for_any_sign_of_b():
             [rng.randint(-40, 40) for _ in blow.b],
             [rng.choice([-1, 1]) * rng.randint(10**5, 10**7) for _ in blow.b],
         ]
-        variants = [tuple(x + blow.r * k for x, k in zip(blow.b, s)) for s in shifts]
+        variants = [tuple(x + blow.singularity.r * k for x, k in zip(blow.b, s)) for s in shifts]
         variants.append(tuple(rng.randint(-60, 60) for _ in blow.b))
         variants.append(tuple(rng.randint(-(10**9), 10**9) for _ in blow.b))
         for b in variants:
