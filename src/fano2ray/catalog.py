@@ -29,6 +29,8 @@ from ._records import Record
 
 Weights = tuple[int, ...]
 Monomial = tuple[int, ...]
+#: The ambient variables, in exponent-vector order.
+AMBIENT_VARIABLES = ("x0", "x1", "x2", "x3", "x4")
 
 
 class CatalogError(ValueError):
@@ -59,8 +61,9 @@ def fano_index(weights: Weights, degree: int) -> int:
 
 
 # Bounded so that a scan over many candidates does not keep every support it
-# has seen; a sweep plus ``verify`` reads 50 (the 35 families, 11 weight pairs
-# of singular strata and 4 supports of wall multiples), well within the bound.
+# has seen; a sweep plus ``verify`` reads 60 (the 35 families, 11 weight pairs
+# of singular strata, 4 supports of two-variable walls and 10 of one-variable
+# walls), well within the bound.
 @lru_cache(maxsize=128)
 def _support(weights: Weights, degree: int) -> frozenset[Monomial]:
     if degree < 0:
@@ -262,14 +265,11 @@ def parse_ambient_monomial(text: str) -> Monomial:
     return tuple(exps)
 
 
-def ambient_monomial_str(monomial: Monomial) -> str:
-    parts = []
-    for i, e in enumerate(monomial):
-        if e == 1:
-            parts.append(f"x{i}")
-        elif e > 1:
-            parts.append(f"x{i}^{e}")
-    return "*".join(parts) if parts else "1"
+def monomial_str(monomial: Monomial, names: tuple[str, ...] = AMBIENT_VARIABLES) -> str:
+    """``monomial`` over the variables ``names`` as text, e.g. ``"x0*x2^7"``;
+    ``"1"`` when every exponent is 0."""
+    text = "*".join(lab if e == 1 else f"{lab}^{e}" for lab, e in zip(names, monomial) if e)
+    return text or "1"
 
 
 def _ints(text: str) -> tuple[int, ...]:

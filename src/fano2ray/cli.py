@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import catalog as cat
 from . import exclusion, linkengine
 from ._records import Record
-from .catalog import ambient_monomial_str, family, load_catalog
+from .catalog import family, load_catalog, monomial_str
 from .singular import SingularLocusEntry, locate, singular_locus
 from .toric2ray import DivisorialTarget, RankTwoModel
 
@@ -87,12 +87,12 @@ def _analyze_report(record: cat.FamilyRecord) -> dict:
             {
                 "site": entry.site.label,
                 "count": entry.count,
-                "r": entry.r,
+                "r": entry.singularity.r,
                 "local_weights": [[f"x{i}", w] for i, w in entry.singularity.local_weights],
                 "multiplier": entry.singularity.multiplier,
                 "kawamata_form": list(entry.singularity.kawamata_form),
                 "tangents": [
-                    {"key": ambient_monomial_str(key), "variable": f"x{t}"}
+                    {"key": monomial_str(key), "variable": f"x{t}"}
                     for key, t in entry.tangent_candidates
                 ],
             }
@@ -229,7 +229,8 @@ def run(command: Command) -> tuple[int, dict]:
         record = family(command.family)
         entry = locate(record, command.point)
         tangent = command.tangent
-        if tangent is None:
+        # without a center the blow-up raises before it reads the tangent
+        if tangent is None and entry.center is not None:
             if len(entry.tangent_candidates) != 1:
                 raise ValueError(
                     f"{command.point} has several tangent candidates; pass --tangent"

@@ -29,15 +29,14 @@ from __future__ import annotations
 from ._records import Record
 from .catalog import (
     FamilyRecord,
-    Monomial,
-    ambient_monomial_str,
     load_catalog,
+    monomial_str,
     monomial_support,
     parse_ambient_monomial,
     weighted_degree,
 )
 from .exclusion import SoliditySummary, smooth_point_test, solidity_summary
-from .singular import BlowupData, SingularLocusEntry, blowup_weights, locate
+from .singular import BlowupData, SingularLocusEntry, blowup_weights, center_completion, locate
 from .toric2ray import (
     DivisorialTarget,
     LatticeError,
@@ -234,18 +233,6 @@ def _replay_game(games: dict, record: FamilyRecord, point: str, tangent: int | N
     return games[key]
 
 
-def _consistent_key_fix(record: FamilyRecord, bad: Monomial, center: int) -> str | None:
-    # adjust the center-variable power so the weighted degree comes out right
-    rest = sum(e * w for l, (e, w) in enumerate(zip(bad, record.weights)) if l != center)
-    need = record.degree - rest
-    if need >= 0 and need % record.weights[center] == 0:
-        fixed = tuple(
-            need // record.weights[center] if l == center else e for l, e in enumerate(bad)
-        )
-        return ambient_monomial_str(fixed)
-    return None
-
-
 def _check_keys(record, entry, exp, report: Report) -> None:
     candidates = {key for key, _ in entry.tangent_candidates}
     if len(entry.site.variables) == 2:
@@ -260,10 +247,9 @@ def _check_keys(record, entry, exp, report: Report) -> None:
         for part in text.split("+"):
             monomial = parse_ambient_monomial(part)
             if weighted_degree(record.weights, monomial) != record.degree:
-                fix = _consistent_key_fix(record, monomial, center)
-                derived = fix or "|".join(
-                    sorted(ambient_monomial_str(k) for k, _ in entry.tangent_candidates)
-                )
+                fix = center_completion(record.weights, record.degree, center, monomial)
+                keys = sorted(monomial_str(k) for k, _ in entry.tangent_candidates)
+                derived = "|".join(keys) if fix is None else monomial_str(fix)
                 report.add_deviation(
                     "key_monomial_degree",
                     record.id,

@@ -17,7 +17,9 @@ from itertools import filterfalse
 from math import gcd
 
 from ._records import Record
-from .catalog import FamilyRecord, Monomial, monomial_support
+from .catalog import FamilyRecord, Monomial, Weights, monomial_support
+
+_UNITS = ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1))
 
 
 class NotTerminal(ValueError):
@@ -103,6 +105,14 @@ def normalize_terminal(
     )
 
 
+def _transverse(weights: Weights, pair: tuple[int, int]) -> tuple[Weights, tuple[int, ...]]:
+    """The weights and indices of the three variables outside ``pair``, for
+    :func:`normalize_terminal`, which callers call themselves: a
+    :class:`NotTerminal`, common on non-terminal candidates, unwinds no extra frame."""
+    locals_ = tuple(l for l in range(5) if l not in pair)
+    return tuple(weights[l] for l in locals_), locals_
+
+
 # ---------------------------------------------------------------------------
 # singular locus of a general member
 
@@ -125,10 +135,6 @@ class SingularLocusEntry(Record):
     singularity: QuotientSingularity
     center: int | None
 
-    @property
-    def r(self) -> int:
-        return self.singularity.r
-
 
 def _vertex_entry(record: FamilyRecord, i: int) -> SingularLocusEntry | None:
     w, d = record.weights, record.degree
@@ -147,9 +153,7 @@ def _vertex_entry(record: FamilyRecord, i: int) -> SingularLocusEntry | None:
             f"family {record.id}: vertex p{i} lies on the member but the support "
             f"has no monomial x{i}^k*x_j"
         )
-    j0 = keys[0][1]
-    locals_ = tuple(l for l in range(5) if l not in (i, j0))
-    sing = normalize_terminal(r, tuple(w[l] for l in locals_), locals_)
+    sing = normalize_terminal(r, *_transverse(w, (i, keys[0][1])))
     return SingularLocusEntry(
         site=Site((i,)), count=1, tangent_candidates=tuple(keys), singularity=sing, center=i
     )
@@ -181,13 +185,11 @@ def _stratum_entry(record: FamilyRecord, i: int, j: int) -> SingularLocusEntry |
         k = (d - w[tangent]) // w[center]
         key = tuple(k if l == center else (1 if l == tangent else 0) for l in range(5))
         candidates = ((key, tangent),)
-    locals_ = tuple(l for l in range(5) if l not in (i, j))
-    sing = normalize_terminal(r, tuple(w[l] for l in locals_), locals_)
     return SingularLocusEntry(
         site=Site((i, j)),
         count=count,
         tangent_candidates=candidates,
-        singularity=sing,
+        singularity=normalize_terminal(r, *_transverse(w, (i, j))),
         center=center,
     )
 
@@ -236,8 +238,10 @@ class BlowupData(Record):
     the implicit solution along the exceptional divisor, which may equal or
     exceed ``r``.  ``excluded`` lists the support monomials killed by the
     graded coordinate change that centers the point and fixes the tangent
-    direction (pure center powers and the key monomials of the other tangent
-    candidates); they must be dropped from the equation before transforming.
+    direction: the :func:`center_completion`, with a positive center power,
+    of ``1`` and of every ``x_j`` other than the center and the tangent (the
+    pure center power and the key monomials of the other tangents).  They
+    must be dropped from the equation before transforming.
     ``singularity`` is the germ normalized over the locals transverse to the
     center and the tangent; its ``per_variable_form`` is the Kawamata format
     of the game, and its ``r`` the order of the point, whose center variable
@@ -259,23 +263,16 @@ def _variable_index(tangent: int | str) -> int:
     return operator.index(tangent)
 
 
-def _centering_monomials(
-    weights: tuple[int, ...], degree: int, center: int, tangent: int
-) -> frozenset[Monomial]:
-    """The support monomials killed by the graded centering at ``x_center``
-    with tangent ``x_tangent``: the pure center power ``x_c^(d/a_c)`` and every
-    ``x_c^k * x_j`` with ``k >= 1`` and ``j`` neither the center nor the
-    tangent.  Both are read off the weights (an exponent vector of degree
-    ``d`` is in the support), so the support is never scanned."""
-    a_c = weights[center]
-    excluded = []
-    if degree % a_c == 0:
-        excluded.append(tuple(degree // a_c if l == center else 0 for l in range(5)))
-    for j in range(5):
-        k, rem = divmod(degree - weights[j], a_c)
-        if j not in (center, tangent) and k >= 1 and not rem:
-            excluded.append(tuple(k if l == center else int(l == j) for l in range(5)))
-    return frozenset(excluded)
+def center_completion(
+    weights: Weights, degree: int, center: int, monomial: Monomial
+) -> Monomial | None:
+    """``monomial`` with the power of ``x_center`` that gives it weighted
+    degree ``degree``, or ``None`` when no power ``>= 0`` does."""
+    k, rem = divmod(degree - sum(map(operator.mul, monomial, weights)), weights[center])
+    k += monomial[center]
+    if rem or k < 0:
+        return None
+    return monomial[:center] + (k,) + monomial[center + 1 :]
 
 
 def blowup_weights(
@@ -288,34 +285,36 @@ def blowup_weights(
     zero, excluded monomials dropped); it always agrees with the congruence
     ``multiplier * weight`` mod ``r``.  The excluded monomials are read off
     the weights, and each cost is one dot product with the dense weight
-    vector, whose center and tangent entries are still 0.  When the locals
-    are the site's own (the tangent is the one its normal form was taken
-    with), the site's ``singularity`` is reused.  ``tangent`` is a
-    name ``"x<i>"`` or an integer (``operator.index``: a float raises
-    :class:`TypeError`).
+    vector, whose center and tangent entries are still 0.  At the site's
+    first tangent candidate, the one its normal form was taken with, the
+    site's ``singularity`` is reused.  ``tangent`` is a name ``"x<i>"`` or an
+    integer (``operator.index``: a float raises :class:`TypeError`).  A site
+    without a center raises :class:`UnresolvedTangent` before the tangent is
+    read.
     """
+    c = entry.center
+    if c is None:
+        raise UnresolvedTangent(
+            f"{entry.site.label} of family {record.id}: neither stratum weight "
+            "divides the other, so no graded centering exists"
+        )
     tangent = _variable_index(tangent)
     if tangent not in {t for _, t in entry.tangent_candidates}:
         raise UnresolvedTangent(
             f"x{tangent} is not a tangent candidate at {entry.site.label} "
             f"of family {record.id}"
         )
-    c = entry.center
-    if c is None:
-        raise UnresolvedTangent(
-            f"{entry.site.label}: neither stratum weight divides the other, "
-            "no graded centering exists"
-        )
-    w = record.weights
-    r = entry.r
-    locals_ = tuple(l for l in range(5) if l not in (c, tangent))
+    w, d = record.weights, record.degree
     sing = entry.singularity
-    if tuple(l for l, _ in sing.local_weights) != locals_:
-        sing = normalize_terminal(r, tuple(w[l] for l in locals_), locals_)
+    r = sing.r
+    if tangent != entry.tangent_candidates[0][1]:
+        sing = normalize_terminal(r, *_transverse(w, (c, tangent)))
     m = sing.multiplier
-    b = [(m * w[l]) % r if l in locals_ else 0 for l in range(5)]
+    b = [(m * w[l]) % r if l not in (c, tangent) else 0 for l in range(5)]
 
-    excluded = _centering_monomials(w, record.degree, c, tangent)
+    seeds = [(0,) * 5] + [_UNITS[j] for j in range(5) if j not in (c, tangent)]
+    completions = [center_completion(w, d, c, seed) for seed in seeds]
+    excluded = frozenset(mono for mono in completions if mono is not None and mono[c])
     b0, b1, b2, b3, b4 = b
     avoiding = filterfalse(operator.itemgetter(tangent), record.support() - excluded)
     costs = [

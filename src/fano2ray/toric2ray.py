@@ -38,7 +38,7 @@ from math import gcd, lcm
 from operator import itemgetter, mul
 
 from ._records import Record
-from .catalog import FamilyRecord, Weights, monomial_support, well_form_weights
+from .catalog import FamilyRecord, Weights, monomial_str, monomial_support, well_form_weights
 from .singular import BlowupData
 
 Vec = tuple[int, int]
@@ -86,10 +86,7 @@ def _factors(m: Mono) -> tuple[tuple[str, int], ...]:
 
 
 def mono_str(m: Mono) -> str:
-    factors = _factors(m)
-    if not factors:
-        return "1"
-    return "*".join(lab if e == 1 else f"{lab}^{e}" for lab, e in factors)
+    return monomial_str(m, MONO_VARIABLES)
 
 
 class TransformedEquation(Record):
@@ -445,14 +442,8 @@ def _wall_monomials(
     n = _multiple(rest, d)
     if n is None or n < 0:
         return []
-    if len(positions) > 1:
-        exponents = monomial_support(multiples, n)
-    elif n % multiples[0]:
-        return []
-    else:
-        exponents = ((n // multiples[0],),)
     out = []
-    for exps in exponents:
+    for exps in monomial_support(multiples, n):
         m = list(base)
         for i, e in zip(positions, exps):
             m[i] += e
@@ -477,9 +468,8 @@ def restrict_walk(model: RankTwoModel) -> tuple[WallStep, ...]:
     These monomials are looked up in the support, not scanned for.  Every
     wall column is ``c_j * d`` for the wall direction ``d``, and every
     monomial of an equation has the equation's bidegree.  So the iso
-    candidates are the wall monomials of degree ``n = bidegree / d``: the
-    single ``x^(n/c)`` on a one-variable wall, the ``(c, n)`` support of
-    :func:`~fano2ray.catalog.monomial_support` on a wall of several.  The
+    candidates are the wall monomials of degree ``n = bidegree / d``, the
+    ``(c, n)`` support of :func:`~fano2ray.catalog.monomial_support`.  The
     candidates linear in ``v`` are ``v`` times the wall monomials of degree
     ``(bidegree - column_v) / d``.
     """

@@ -105,6 +105,19 @@ def test_game_multi_tangent_needs_flag(capsys):
     assert "tangent" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("family", ["128", "130"])
+@pytest.mark.parametrize("tangent", [[], ["--tangent", "x3"]], ids=["inferred", "x3"])
+def test_game_at_a_site_without_a_center_names_the_reason(capsys, family, tangent):
+    # p1p3 has weights 4 and 6, so it has no graded centering and no tangent
+    assert main(["game", family, "--point", "p1p3", *tangent]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: p1p3 of family {family}: neither stratum weight divides the other, "
+        "so no graded centering exists\n"
+    )
+
+
 def test_main_verify_exit_zero(capsys):
     code = main(["verify", "--format", "json"])
     out = capsys.readouterr().out

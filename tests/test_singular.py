@@ -6,13 +6,14 @@ from math import gcd
 import pytest
 
 from fano2ray import singular
-from fano2ray.catalog import family, load_catalog
+from fano2ray.catalog import family, load_catalog, weighted_degree
 from fano2ray.singular import (
     NotTerminal,
     QuotientSingularity,
     Site,
     UnresolvedTangent,
     blowup_weights,
+    center_completion,
     locate,
     normalize_terminal,
     singular_locus,
@@ -143,13 +144,13 @@ def test_singular_locus_110():
     assert set(by_label) == {"p2", "p4"}
     p4 = by_label["p4"]
     assert p4.site == Site((4,))
-    assert p4.r == 8
+    assert p4.singularity.r == 8
     assert [(f"x{t}") for _, t in p4.tangent_candidates] == ["x2"]
     key = p4.tangent_candidates[0][0]
     assert key == (0, 0, 1, 0, 2)  # x4^2*x2
     assert dict(p4.singularity.local_weights) == {0: 1, 1: 3, 3: 7}
     p2 = by_label["p2"]
-    assert p2.r == 5
+    assert p2.singularity.r == 5
     assert dict(p2.singularity.local_weights) == {1: 3, 3: 2, 4: 3}
     assert p2.singularity.per_variable_form == (1, 4, 1)
     assert p2.tangent_candidates[0] == ((1, 0, 4, 0, 0), 0)  # x2^4*x0, tangent x0
@@ -161,7 +162,7 @@ def test_singular_locus_100_stratum():
     assert stratum.site == Site((2, 4))
     assert stratum.site.label == "p2p4"
     assert stratum.count == 2
-    assert stratum.r == 3
+    assert stratum.singularity.r == 3
     assert dict(stratum.singularity.local_weights) == {0: 1, 1: 2, 3: 2}
     assert stratum.center == 2
     assert stratum.tangent_candidates == (((0, 0, 3, 0, 1), 4),)
@@ -306,6 +307,46 @@ def test_excluded_monomials_match_the_support_scan_on_every_game():
     assert games == 87
 
 
+def scanned_completion(weights, degree, center, monomial):
+    # try every center exponent 0..d // w_c in turn
+    for k in range(degree // weights[center] + 1):
+        candidate = monomial[:center] + (k,) + monomial[center + 1 :]
+        if weighted_degree(weights, candidate) == degree:
+            return candidate
+    return None
+
+
+def test_center_completion_matches_a_scan_of_center_powers():
+    outcomes = {True: 0, False: 0}
+    for rec in load_catalog():
+        w, d = rec.weights, rec.degree
+        units = {tuple(int(l == j) for l in range(5)) for j in range(5)}
+        for c in range(5):
+            # the support with x_c set to 1, the zero monomial and each x_j
+            seeds = {m[:c] + (0,) + m[c + 1 :] for m in rec.support()} | units | {(0,) * 5}
+            for m in seeds:
+                completed = center_completion(w, d, c, m)
+                assert completed == scanned_completion(w, d, c, m)
+                outcomes[completed is not None] += 1
+            # off degree: a support monomial without x_c, times another variable
+            for m in rec.support():
+                for j in range(5):
+                    if not m[c] and j != c:
+                        bigger = m[:j] + (m[j] + 1,) + m[j + 1 :]
+                        assert center_completion(w, d, c, bigger) is None
+    assert outcomes[True] and outcomes[False]
+
+
+@pytest.mark.parametrize("fid", [128, 130])
+@pytest.mark.parametrize("tangent", [None, "x3", 1, "y9"])
+def test_blowup_names_a_site_without_a_center_before_the_tangent(fid, tangent):
+    # p1p3 has weights 4 and 6: neither divides the other
+    rec = family(fid)
+    entry = locate(rec, "p1p3")
+    assert entry.center is None and entry.tangent_candidates == ()
+    with pytest.raises(UnresolvedTangent, match="neither stratum weight divides the other"):
+        blowup_weights(rec, entry, tangent)
+
 
 @pytest.mark.parametrize("name", ["x²", "x٣"])
 def test_tangent_names_take_ascii_digits_only(name):
@@ -323,7 +364,7 @@ def test_blowup_reuses_the_site_normal_form_for_its_first_tangent():
                 blow = blowup_weights(rec, entry, tangent)
                 locals_ = tuple(l for l in range(5) if l not in (entry.center, tangent))
                 fresh = normalize_terminal(
-                    entry.r, tuple(rec.weights[l] for l in locals_), locals_
+                    entry.singularity.r, tuple(rec.weights[l] for l in locals_), locals_
                 )
                 assert blow.singularity == fresh
                 assert (blow.singularity is entry.singularity) == (k == 0)
