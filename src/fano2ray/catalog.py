@@ -60,11 +60,6 @@ def fano_index(weights: Weights, degree: int) -> int:
     return sum(weights) - degree
 
 
-# Bounded so that a scan over many candidates does not keep every support it
-# has seen; a sweep plus ``verify`` reads 60 (the 35 families, 11 weight pairs
-# of singular strata, 4 supports of two-variable walls and 10 of one-variable
-# walls), well within the bound.
-@lru_cache(maxsize=128)
 def _support(weights: Weights, degree: int) -> frozenset[Monomial]:
     if degree < 0:
         return frozenset()
@@ -73,19 +68,19 @@ def _support(weights: Weights, degree: int) -> frozenset[Monomial]:
             return frozenset({()}) if degree == 0 else frozenset()
         (w,) = weights
         return frozenset({(degree // w,)}) if degree % w == 0 else frozenset()
-    order = sorted(range(len(weights)), key=weights.__getitem__)
-    least, w2 = weights[order[0]], weights[order[1]]
+    ascending = sorted(weights)
+    least, w2 = ascending[0], ascending[1]
     # e*w2 + f*least == r needs g | r; then e runs over one residue class
     # mod least // g and f is forced
     g = gcd(w2, least)
     m = least // g
     inverse = pow(w2 // g, -1, m)
-    # a vector lists its exponents by ``order``, which is positional when the
-    # weights are nondecreasing (every family)
+    # a vector lists its exponents in ascending order of weight, which is
+    # positional when the weights are nondecreasing (every family and candidate)
     if len(weights) == 5:
         # every family and candidate: nested loops over the three heaviest
         # exponents, one tuple per vector
-        a2, a3, a4 = map(weights.__getitem__, order[2:])
+        a2, a3, a4 = ascending[2:]
         vectors = []
         add = vectors.append
         for e4 in range(degree // a4 + 1):
@@ -100,8 +95,7 @@ def _support(weights: Weights, degree: int) -> frozenset[Monomial]:
     else:
         # each exponent is prepended, heaviest first, carrying the residual
         partial = [(degree, ())]
-        for i in reversed(order[2:]):
-            w = weights[i]
+        for w in reversed(ascending[2:]):
             partial = [(r - e * w, (e,) + exps) for r, exps in partial for e in range(r // w + 1)]
         vectors = (
             ((r - e * w2) // least, e) + exps
@@ -109,7 +103,8 @@ def _support(weights: Weights, degree: int) -> frozenset[Monomial]:
             if r % g == 0
             for e in range(r // g * inverse % m, r // w2 + 1, m)
         )
-    if order != sorted(order):
+    if list(weights) != ascending:
+        order = sorted(range(len(weights)), key=weights.__getitem__)
         positional = operator.itemgetter(*sorted(range(len(order)), key=order.__getitem__))
         vectors = map(positional, vectors)
     return frozenset(vectors)
@@ -126,15 +121,16 @@ def monomial_support(weights: Weights, degree: int) -> frozenset[Monomial]:
     ``e * w2 + f * least == r``, with ``w2`` the second-least weight: there
     is a solution only when ``g = gcd(w2, least)`` divides ``r``, and then
     ``e`` runs over one residue class modulo ``least // g`` and ``f`` is
-    forced, so every vector built is kept.  Only whole supports are cached,
-    keyed by ``(weights, degree)``, in a cache of bounded size.
+    forced, so every vector built is kept.  Each call builds a new set, and
+    only :meth:`FamilyRecord.support` caches one: a candidate's, a stratum's
+    or a wall's support is dropped as soon as its caller is done with it.
 
     Inputs must be integers (``operator.index``): a float or a string raises
     :class:`TypeError`, a non-positive weight :class:`ValueError`.  The empty
     set is a valid result (no monomials of that weighted degree).
     """
     weights = tuple(map(operator.index, weights))
-    if any(w <= 0 for w in weights):
+    if min(weights, default=1) <= 0:
         raise ValueError("weights must be positive")
     return _support(weights, operator.index(degree))
 
@@ -236,11 +232,19 @@ class FamilyRecord(Record):
         return fano_index(self.weights, self.degree)
 
     def support(self) -> frozenset[Monomial]:
-        return monomial_support(self.weights, self.degree)
+        return _family_support(self.weights, self.degree)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         ws = ",".join(map(str, self.weights))
         return f"FamilyRecord({self.id}: X_{self.degree} in P({ws}))"
+
+
+# ``blowup_weights`` and ``build_model`` read a family's support in every game;
+# ``_validate`` fills this cache with the 35 families at load.
+# ``monomial_support`` is looked up per call, so tracing counts every build.
+@lru_cache(maxsize=128)
+def _family_support(weights: Weights, degree: int) -> frozenset[Monomial]:
+    return monomial_support(weights, degree)
 
 
 def anticanonical_cube(record: FamilyRecord) -> Fraction:

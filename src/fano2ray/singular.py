@@ -182,6 +182,12 @@ def _stratum_entry(record: FamilyRecord, i: int, j: int) -> SingularLocusEntry |
         center, tangent = None, None
     candidates: tuple[tuple[Monomial, int], ...] = ()
     if center is not None:
+        if d - w[tangent] <= 0:
+            # the key would be a bare x_t: the member is a linear cone
+            raise UnresolvedTangent(
+                f"family {record.id}: stratum p{i}p{j} lies on the member but the "
+                f"support has no monomial x{center}^k*x{tangent} with k >= 1"
+            )
         k = (d - w[tangent]) // w[center]
         key = tuple(k if l == center else (1 if l == tangent else 0) for l in range(5))
         candidates = ((key, tangent),)

@@ -293,15 +293,6 @@ def well_form_model(model: RankTwoModel) -> RankTwoModel:
     return _regraded(model, ((by, -bx), (0, a)), a * by)
 
 
-def regrade(model: RankTwoModel, matrix: tuple[Vec, Vec]) -> RankTwoModel:
-    """Apply a unimodular row transformation of positive determinant to the
-    columns and the equation bidegrees."""
-    (p, q), (s, t) = matrix
-    if p * t - q * s != 1:
-        raise LatticeError("regrading matrix must have determinant one")
-    return _regraded(model, matrix)
-
-
 # ---------------------------------------------------------------------------
 # unprojection
 

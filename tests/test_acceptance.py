@@ -27,11 +27,10 @@ from fano2ray.toric2ray import (
     build_model,
     minus_k,
     movable_position,
-    regrade,
     well_form_model,
 )
 
-from expected import SOLID_CANDIDATES, rows, values
+from expected import SOLID_CANDIDATES, regrade, rows, values
 
 _T0 = time.perf_counter()
 

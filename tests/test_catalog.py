@@ -26,6 +26,7 @@ from fano2ray.catalog import (
     well_form_weights,
 )
 from fano2ray.cli import main
+from fano2ray.singular import NotTerminal, UnresolvedTangent, singular_locus
 
 from expected import SOLID_CANDIDATES
 
@@ -231,20 +232,59 @@ def test_family_rejects_non_integer_ids():
     assert family(100).id == 100
 
 
-def test_support_cache_holds_whole_supports_only():
-    rec = family(110)
-    catalog._support.cache_clear()
-    monomial_support(rec.weights, rec.degree)
-    assert catalog._support.cache_info().currsize == 1
+def test_family_support_cache_is_filled_at_load():
+    # an uncached load validates fresh records, which reads every family support
+    catalog._family_support.cache_clear()
+    records = catalog._load_catalog.__wrapped__(catalog._data_dir())
+    info = catalog._family_support.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (35, 35, 0)
+    for rec in records:
+        assert rec.support() is rec.support()
+        assert rec.support() == monomial_support(rec.weights, rec.degree)
+    info = catalog._family_support.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (35, 35, 3 * 35)
 
 
-def test_support_cache_is_bounded():
-    bound = catalog._support.cache_info().maxsize
+def test_candidate_supports_bypass_the_family_cache():
+    # the scan workload's traffic: a candidate's support is built, read once
+    # and dropped, and its singular locus reads no family support
+    rng = random.Random(17)
+    load_catalog()
+    before = catalog._family_support.cache_info()
+    for _ in range(1000):
+        weights = tuple(sorted(rng.randint(1, 20) for _ in range(5)))
+        degree = sum(weights) - rng.randint(2, 20)
+        if degree < 1:
+            continue
+        monomial_support(weights, degree)
+        record = catalog.FamilyRecord(
+            id=0,
+            weights=weights,
+            degree=degree,
+            rational=False,
+            expected=catalog.FamilyExpectations(),
+        )
+        try:
+            singular_locus(record)
+        except (NotTerminal, UnresolvedTangent):
+            pass
+    assert catalog._family_support.cache_info() == before
+
+
+def test_family_support_cache_is_bounded():
+    bound = catalog._family_support.cache_info().maxsize
     assert bound is not None
-    catalog._support.cache_clear()
+    catalog._family_support.cache_clear()
     for weight in range(1, 2 * bound + 1):
-        monomial_support((1, weight), 1)
-    assert catalog._support.cache_info().currsize <= bound
+        record = catalog.FamilyRecord(
+            id=0,
+            weights=(1, 2, 3, 5, weight + 1),
+            degree=1,
+            rational=False,
+            expected=catalog.FamilyExpectations(),
+        )
+        assert record.support() == {(1, 0, 0, 0, 0)}
+    assert catalog._family_support.cache_info().currsize <= bound
 
 
 def test_well_form_weights_examples():

@@ -6,7 +6,13 @@ from math import gcd
 import pytest
 
 from fano2ray import singular
-from fano2ray.catalog import family, load_catalog, weighted_degree
+from fano2ray.catalog import (
+    FamilyExpectations,
+    FamilyRecord,
+    family,
+    load_catalog,
+    weighted_degree,
+)
 from fano2ray.singular import (
     NotTerminal,
     QuotientSingularity,
@@ -178,6 +184,16 @@ def test_stratum_restricted_support_100():
     }
     assert restricted == {(0, 0, 6, 0, 0), (0, 0, 3, 0, 1), (0, 0, 0, 0, 2)}
     assert gcd(6 - 0, 0 - 2) == 2 == locate(rec, "p2p4").count
+
+
+def test_stratum_without_a_key_of_positive_center_power_is_unresolved():
+    # X_2 in P(1,1,1,2,2) is a linear cone: on p3p4 the only monomial x3^k*x4
+    # has k = 0, and a bare x4 used to be taken as the key of a game
+    record = FamilyRecord(
+        id=0, weights=(1, 1, 1, 2, 2), degree=2, rational=False, expected=FamilyExpectations()
+    )
+    with pytest.raises(UnresolvedTangent, match="family 0: stratum p3p4 .* k >= 1"):
+        singular_locus(record)
 
 
 def test_singular_locus_103_three_tangents():

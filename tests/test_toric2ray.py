@@ -30,13 +30,12 @@ from fano2ray.toric2ray import (
     mono_str,
     movable_position,
     needs_unprojection,
-    regrade,
     restrict_walk,
     unproject,
     well_form_model,
 )
 
-from expected import rows, values
+from expected import regrade, rows, values
 
 #: Eleven of the 95 families of Fano index 1, as literal weights and degree.
 INDEX_ONE = [
