@@ -7,12 +7,13 @@ report of :func:`fano2ray.linkengine.verify_tables`, which replays all
 reference tables plus the solidity cross-check; exit status 0 iff its report
 is ok).  Every verb renders either markdown or a stable JSON document;
 exact rationals serialize as ``{"num": ..., "den": ...}`` pairs, never as
-decimals.
+decimals.  A plain command line (a verb, then its family and exactly spelled
+options) is read directly; ``--help``, abbreviations and malformed lines go
+through argparse, which is imported only then, with unchanged output.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -26,6 +27,26 @@ from .singular import SingularLocusEntry, locate, singular_locus
 from .toric2ray import DivisorialTarget, RankTwoModel
 
 USAGE_ERROR = 2
+
+#: The command-line grammar, for :func:`build_parser` and
+#: :func:`_read_plain`: for each verb its help, whether it takes a
+#: ``family`` and its options besides ``--format``, each as
+#: ``(option, help, required)``.
+_GRAMMAR = {
+    "catalog": ("replay the family table", False, ()),
+    "analyze": ("singular locus of one family", True, ()),
+    "game": (
+        "run one 2-ray game",
+        True,
+        (
+            ("--point", "site label, e.g. p3 or p2p4", True),
+            ("--tangent", "tangent variable, e.g. x2", False),
+        ),
+    ),
+    "exclude": ("numerical tests and fibration witness", True, ()),
+    "verify": ("replay all reference tables", False, ()),
+}
+_FORMATS = ("markdown", "json")
 
 
 class Command(Record):
@@ -441,6 +462,12 @@ def _help_width() -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # imported here, not at the top: a plain command line is read without a
+    # parser (see _read_plain), and argparse's first message lookup imports
+    # gettext and locale, which together cost more than the rest of a cold
+    # start's parsing
+    import argparse
+
     width = _help_width()
 
     def help_formatter(prog: str) -> argparse.HelpFormatter:
@@ -452,34 +479,60 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=help_formatter,
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add_verb(name, help):
-        return sub.add_parser(name, help=help, formatter_class=help_formatter)
-
-    def add_format(p):
-        p.add_argument(
-            "--format", choices=("markdown", "json"), default="markdown", dest="format"
-        )
-
-    add_format(add_verb("catalog", "replay the family table"))
-    p = add_verb("analyze", "singular locus of one family")
-    p.add_argument("family", type=int)
-    add_format(p)
-    p = add_verb("game", "run one 2-ray game")
-    p.add_argument("family", type=int)
-    p.add_argument("--point", required=True, help="site label, e.g. p3 or p2p4")
-    p.add_argument("--tangent", help="tangent variable, e.g. x2")
-    add_format(p)
-    p = add_verb("exclude", "numerical tests and fibration witness")
-    p.add_argument("family", type=int)
-    add_format(p)
-    add_format(add_verb("verify", "replay all reference tables"))
+    for verb, (verb_help, takes_family, options) in _GRAMMAR.items():
+        p = sub.add_parser(verb, help=verb_help, formatter_class=help_formatter)
+        if takes_family:
+            p.add_argument("family", type=int)
+        for option, option_help, required in options:
+            p.add_argument(option, required=required, help=option_help)
+        p.add_argument("--format", choices=_FORMATS, default="markdown", dest="format")
     return parser
 
 
+def _read_plain(argv: list[str]) -> Command | None:
+    """The command of a plain command line, or ``None`` for any other.
+
+    Plain is a verb of :data:`_GRAMMAR` first; then each option spelled
+    exactly, at most once, with a value that does not start with ``-``;
+    ``--format`` one of :data:`_FORMATS`; the family as one ASCII-decimal
+    token exactly when the verb takes one; and every required option.
+    argparse reads such a line to the same command.
+    """
+    if not argv or argv[0] not in _GRAMMAR:
+        return None
+    _, takes_family, options = _GRAMMAR[argv[0]]
+    allowed = ("--format", *(option for option, _, _ in options))
+    fields = {"verb": argv[0]}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in allowed:
+            value = next(tokens, "-")  # a missing value declines the line too
+            if value.startswith("-") or token[2:] in fields:
+                return None
+            fields[token[2:]] = value
+        elif takes_family and "family" not in fields and token.isascii() and token.isdecimal():
+            try:
+                fields["family"] = int(token)
+            except ValueError:  # more digits than int() converts
+                return None
+        else:
+            return None
+    if fields.get("format", "markdown") not in _FORMATS:
+        return None
+    if takes_family and "family" not in fields:
+        return None
+    if any(required and option[2:] not in fields for option, _, required in options):
+        return None
+    return Command(**fields)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    command = Command(**vars(args))
+    if argv is None:
+        argv = sys.argv[1:]
+    command = _read_plain(argv)
+    if command is None:
+        # help, abbreviations and usage errors (exit 2) are argparse's
+        command = Command(**vars(build_parser().parse_args(argv)))
     try:
         status, report = run(command)
     except (KeyError, ValueError, OSError) as err:

@@ -263,9 +263,16 @@ class BlowupData(Record):
 
 def _variable_index(tangent: int | str) -> int:
     if isinstance(tangent, str):
-        if tangent[:1] != "x" or not (tangent[1:].isascii() and tangent[1:].isdecimal()):
+        index = tangent[1:]
+        # one spelling per variable (x0, never x00), so a game names its
+        # tangent the same way however it was asked for
+        if (
+            tangent[:1] != "x"
+            or not (index.isascii() and index.isdecimal())
+            or (index[0] == "0" and index != "0")
+        ):
             raise ValueError(f"bad variable name {tangent!r}")
-        return int(tangent[1:])
+        return int(index)
     return operator.index(tangent)
 
 

@@ -1,5 +1,8 @@
 """Values the tests expect of the bundled catalog, readers the tests share
-for model fields, and the change of grading the invariance tests apply."""
+for model fields, the change of grading the invariance tests apply, and the
+command-line parser written out by hand."""
+
+import argparse
 
 from fano2ray.toric2ray import LatticeError, RankTwoModel, TransformedEquation
 
@@ -37,3 +40,34 @@ def regrade(model, matrix):
         ),
         center=model.center,
     )
+
+
+def hand_written_parser():
+    """The CLI parser written out call by call, with argparse's own help
+    formatter, which reads ``COLUMNS`` through ``shutil``: the reference for
+    the help texts of the table-driven ``fano2ray.cli.build_parser``."""
+    parser = argparse.ArgumentParser(
+        prog="fano2ray",
+        description="Birational analysis of the index >= 2 Fano threefold hypersurfaces",
+    )
+    sub = parser.add_subparsers(dest="verb", required=True)
+
+    def add_format(p):
+        p.add_argument(
+            "--format", choices=("markdown", "json"), default="markdown", dest="format"
+        )
+
+    add_format(sub.add_parser("catalog", help="replay the family table"))
+    p = sub.add_parser("analyze", help="singular locus of one family")
+    p.add_argument("family", type=int)
+    add_format(p)
+    p = sub.add_parser("game", help="run one 2-ray game")
+    p.add_argument("family", type=int)
+    p.add_argument("--point", required=True, help="site label, e.g. p3 or p2p4")
+    p.add_argument("--tangent", help="tangent variable, e.g. x2")
+    add_format(p)
+    p = sub.add_parser("exclude", help="numerical tests and fibration witness")
+    p.add_argument("family", type=int)
+    add_format(p)
+    add_format(sub.add_parser("verify", help="replay all reference tables"))
+    return parser

@@ -9,9 +9,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fano2ray
-from fano2ray.cli import Command, build_parser, main, run, serialize
+from expected import hand_written_parser
+from fano2ray.cli import Command, _read_plain, build_parser, main, run, serialize
 from fano2ray import singular
 from fano2ray.linkengine import VerificationFailure, verify_tables
 from fano2ray.singular import singular_locus
@@ -151,6 +154,11 @@ GAME_USAGE = {
         "                     [--format {markdown,json}]\n"
         "                     family\n"
     ),
+    "80": (
+        "usage: fano2ray game [-h] --point POINT [--tangent TANGENT]\n"
+        "                     [--format {markdown,json}]\n"
+        "                     family\n"
+    ),
     "200": (
         "usage: fano2ray game [-h] --point POINT [--tangent TANGENT] "
         "[--format {markdown,json}] family\n"
@@ -158,19 +166,147 @@ GAME_USAGE = {
 }
 
 
-@pytest.mark.parametrize("columns", ["60", "200"])
+@pytest.mark.parametrize("columns", ["60", "80", "200"])
 def test_help_wraps_at_the_width_of_columns(monkeypatch, capsys, columns):
     monkeypatch.setenv("COLUMNS", columns)
     helps = [p.format_help() for p in _parser_and_verbs(build_parser())]
-    # the same text as with argparse's own formatter, which reads COLUMNS
-    # through shutil.get_terminal_size
-    reference = build_parser()
-    for p in _parser_and_verbs(reference):
-        p.formatter_class = argparse.HelpFormatter
-    assert helps == [p.format_help() for p in _parser_and_verbs(reference)]
+    # the same text as the parser written out by hand gives with argparse's
+    # own formatter, which reads COLUMNS through shutil.get_terminal_size
+    reference = [p.format_help() for p in _parser_and_verbs(hand_written_parser())]
+    assert len(helps) == 6
+    assert helps == reference
     with pytest.raises(SystemExit):
         main(["game", "--help"])
     assert capsys.readouterr().out.startswith(GAME_USAGE[columns])
+
+
+#: Command lines as the README and CI write them.
+PLAIN_LINES = [
+    ["catalog"],
+    ["analyze", "103"],
+    ["game", "110", "--point", "p2", "--tangent", "x0"],
+    ["game", "103", "--point", "p1", "--tangent", "x2"],
+    ["exclude", "110"],
+    ["verify", "--format", "json"],
+    ["verify"],
+]
+
+
+@pytest.mark.parametrize("argv", PLAIN_LINES, ids=" ".join)
+def test_plain_lines_are_read_without_a_parser(argv):
+    command = _read_plain(argv)
+    assert command is not None
+    assert command == Command(**vars(build_parser().parse_args(argv)))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["--help"],
+        ["verify", "-h"],
+        ["verify", "--form", "json"],
+        ["verify", "--format=json"],
+        ["verify", "--format", "json", "--format", "json"],
+        ["verify", "--format", "md"],
+        ["verify", "--format"],
+        ["verify", "--", "--format", "json"],
+        ["verify", "100"],
+        ["analyze"],
+        ["analyze", "+5"],
+        ["analyze", "-5"],
+        ["analyze", "٣"],
+        ["analyze", "100", "100"],
+        ["game", "100"],
+        ["game", "100", "--point", "--tangent", "x2"],
+    ],
+    ids=repr,
+)
+def test_other_lines_are_left_to_argparse(argv):
+    assert _read_plain(argv) is None
+
+
+def test_a_family_int_cannot_read_is_left_to_argparse(capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("int() reads any number of digits")
+    argv = ["analyze", "9" * (limit + 1)]
+    assert _read_plain(argv) is None
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+
+
+ARGV_TOKENS = (
+    "catalog", "analyze", "game", "exclude", "verify",
+    "100", "007", "٣", "-5", "+5", "",
+    "--format", "--form", "--format=json", "json", "markdown", "md",
+    "--point", "--poi", "p3", "--tangent", "x2",
+    "--", "-h",
+)
+#: Options with values a plain line may give them.
+PLAIN_OPTIONS = (
+    ("--format", "json"), ("--format", "markdown"), ("--point", "p3"), ("--tangent", "x2"),
+)
+
+
+@st.composite
+def argvs(draw):
+    """Lines of ``ARGV_TOKENS``: half drawn token by token, half a verb with
+    at most one family and distinct options, in any order, into which one
+    token may be inserted."""
+    token = st.sampled_from(ARGV_TOKENS)
+    if draw(st.booleans()):
+        return draw(st.lists(token, max_size=8))
+    family = draw(st.sampled_from([(), ("100",), ("007",)]))
+    options = draw(st.lists(st.sampled_from(PLAIN_OPTIONS), max_size=3, unique_by=lambda o: o[0]))
+    pieces = draw(st.permutations([family, *options]))
+    argv = [draw(st.sampled_from(ARGV_TOKENS[:5])), *(t for piece in pieces for t in piece)]
+    if draw(st.booleans()):
+        argv.insert(draw(st.integers(1, len(argv))), draw(token))
+    return argv
+
+
+# about one line in ten is plain
+@settings(max_examples=500)
+@given(argvs())
+def test_plain_reader_agrees_with_argparse(argv):
+    command = _read_plain(argv)
+    if command is None:
+        return
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as err:
+        pytest.fail(f"argparse rejects the plain line {argv!r} (exit {err.code})")
+    assert command == Command(**vars(args))
+
+
+def test_plain_verify_imports_no_argparse():
+    # in a fresh interpreter: this module imports argparse itself
+    src = str(Path(fano2ray.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    script = (
+        "import io, sys\n"
+        "import fano2ray.cli\n"
+        "sys.stdout = io.StringIO()\n"
+        "statuses = [fano2ray.cli.main(['verify', '--format', 'json'])]\n"
+        "sys.argv[1:] = ['verify']\n"  # as the console script calls it
+        "statuses.append(fano2ray.cli.main())\n"
+        "sys.stdout = sys.__stdout__\n"
+        "print(statuses, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout == "[0, 0] []\n"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-m", "fano2ray.cli", "--help"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: fano2ray [-h] {catalog,analyze,game,exclude,verify}")
 
 
 def test_main_bad_family(capsys):
@@ -194,7 +330,7 @@ def test_main_prints_lookup_errors_unquoted(capsys, argv, message):
     assert captured.err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("tangent", ["x²", "x٣"])
+@pytest.mark.parametrize("tangent", ["x²", "x٣", "x00", "x01"])
 def test_main_rejects_tangent_names_with_non_ascii_digits(capsys, tangent):
     assert main(["game", "110", "--point", "p2", "--tangent", tangent]) == 1
     assert capsys.readouterr().err == f"error: bad variable name {tangent!r}\n"
@@ -261,6 +397,20 @@ def test_verify_markdown_matches_golden(capsys):
     # markdown is the default format
     assert main(["verify"]) == 0
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / "verify.md").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv,golden",
+    [
+        (["verify", "--form", "json"], "verify.json"),
+        (["verify", "--format=json"], "verify.json"),
+        (["verify", "--format", "json", "--format", "markdown"], "verify.md"),
+    ],
+    ids=["abbreviated", "equals-sign", "repeated"],
+)
+def test_main_reads_other_lines_as_argparse_does(capsys, argv, golden):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / golden).read_bytes()
 
 
 def test_game_json_independent_of_hash_seed():
