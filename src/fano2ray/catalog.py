@@ -170,7 +170,6 @@ def well_form_weights(weights: Weights) -> Weights:
 class LinkExpectation(Record):
     """Recorded end model of the elementary link from one distinguished point."""
 
-    family: int
     point: str
     kawamata_type: tuple[int, int, int]
     label: str
@@ -182,7 +181,6 @@ class LinkExpectation(Record):
 class ExclusionExpectation(Record):
     """Recorded exclusion game at one non-distinguished quotient singularity."""
 
-    family: int
     site: str
     tangent: str
     count: int
@@ -194,17 +192,12 @@ class ExclusionExpectation(Record):
 
 
 class MatrixExpectation(Record):
-    """Recorded rank-2 weight matrix of a displayed model."""
+    """Recorded rank-2 weight matrix of a displayed model: its ``(label,
+    (row1 entry, row2 entry))`` columns in recorded order."""
 
-    family: int
     point: str
     stage: str
-    labels: tuple[str, ...]
-    rows: tuple[tuple[int, ...], tuple[int, ...]]
-
-    def columns(self) -> tuple[tuple[str, tuple[int, int]], ...]:
-        r1, r2 = self.rows
-        return tuple((lab, (a, b)) for lab, a, b in zip(self.labels, r1, r2))
+    columns: tuple[tuple[str, tuple[int, int]], ...]
 
 
 class FamilyExpectations(Record):
@@ -276,8 +269,11 @@ def monomial_str(monomial: Monomial, names: tuple[str, ...] = AMBIENT_VARIABLES)
     return text or "1"
 
 
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in text.split(","))
+def _ints(text: str, count: int | None = None) -> tuple[int, ...]:
+    ints = tuple(int(t) for t in text.split(","))
+    if count is not None and len(ints) != count:
+        raise ValueError(f"expected {count} integers, got {text!r}")
+    return ints
 
 
 def _data_dir() -> str:
@@ -309,19 +305,19 @@ def _read_rows(data_dir: str, name: str, width: int, parse) -> list:
 
 
 def _by_family(rows: list) -> dict[int, tuple]:
+    """The expectations of ``(family id, expectation)`` rows, by family."""
     table: dict[int, tuple] = {}
-    for exp in rows:
-        table[exp.family] = table.get(exp.family, ()) + (exp,)
+    for fam, exp in rows:
+        table[fam] = table.get(fam, ()) + (exp,)
     return table
 
 
-def _link_row(fam, point, ktype, label, tweights, tdegrees, construction) -> LinkExpectation:
+def _link_row(fam, point, ktype, label, tweights, tdegrees, construction):
     if construction not in ("hypersurface", "unprojection"):
         raise ValueError(f"construction must be hypersurface or unprojection: {construction!r}")
-    return LinkExpectation(
-        family=int(fam),
+    return int(fam), LinkExpectation(
         point=point,
-        kawamata_type=_ints(ktype),  # type: ignore[arg-type]
+        kawamata_type=_ints(ktype, 3),  # type: ignore[arg-type]
         label=label,
         target_weights=_ints(tweights),
         target_degrees=_ints(tdegrees),
@@ -329,17 +325,14 @@ def _link_row(fam, point, ktype, label, tweights, tdegrees, construction) -> Lin
     )
 
 
-def _exclusion_row(
-    fam, site, tangent, count, ltype, keys, blowup, corrected, verdict
-) -> ExclusionExpectation:
+def _exclusion_row(fam, site, tangent, count, ltype, keys, blowup, corrected, verdict):
     if tangent not in ("x0", "x1", "x2", "x3", "x4"):
         raise ValueError(f"tangent must be one of x0..x4, got {tangent!r}")
-    return ExclusionExpectation(
-        family=int(fam),
+    return int(fam), ExclusionExpectation(
         site=site,
         tangent=tangent,
         count=int(count),
-        local_type=_ints(ltype),  # type: ignore[arg-type]
+        local_type=_ints(ltype, 3),  # type: ignore[arg-type]
         keys=tuple(keys.split("|")),
         blowup=blowup,
         corrected_blowup=blowup if corrected == "=" else corrected,
@@ -347,14 +340,13 @@ def _exclusion_row(
     )
 
 
-def _matrix_row(fam, point, stage, labels, row1, row2) -> MatrixExpectation:
-    return MatrixExpectation(
-        family=int(fam),
-        point=point,
-        stage=stage,
-        labels=tuple(labels.split(",")),
-        rows=(_ints(row1), _ints(row2)),
-    )
+def _matrix_row(fam, point, stage, labels, row1, row2):
+    stages = ("raw", "wellformed", "unprojected", "wellformed_unprojected")
+    if stage not in stages:
+        raise ValueError(f"stage must be one of {', '.join(stages)}: {stage!r}")
+    labels = labels.split(",")
+    rows = zip(_ints(row1, len(labels)), _ints(row2, len(labels)))
+    return int(fam), MatrixExpectation(point=point, stage=stage, columns=tuple(zip(labels, rows)))
 
 
 def _validate(records: tuple[FamilyRecord, ...]) -> None:

@@ -19,33 +19,14 @@ import os
 import sys
 from fractions import Fraction
 
-from . import catalog as cat
 from . import exclusion, linkengine
 from ._records import Record
-from .catalog import family, load_catalog, monomial_str
-from .singular import SingularLocusEntry, locate, singular_locus
+from .catalog import FamilyRecord, family, load_catalog, monomial_str
+from .singular import locate, singular_locus
 from .toric2ray import DivisorialTarget, RankTwoModel
 
 USAGE_ERROR = 2
 
-#: The command-line grammar, for :func:`build_parser` and
-#: :func:`_read_plain`: for each verb its help, whether it takes a
-#: ``family`` and its options besides ``--format``, each as
-#: ``(option, help, required)``.
-_GRAMMAR = {
-    "catalog": ("replay the family table", False, ()),
-    "analyze": ("singular locus of one family", True, ()),
-    "game": (
-        "run one 2-ray game",
-        True,
-        (
-            ("--point", "site label, e.g. p3 or p2p4", True),
-            ("--tangent", "tangent variable, e.g. x2", False),
-        ),
-    ),
-    "exclude": ("numerical tests and fibration witness", True, ()),
-    "verify": ("replay all reference tables", False, ()),
-}
 _FORMATS = ("markdown", "json")
 
 
@@ -86,22 +67,24 @@ def _end_model(model: DivisorialTarget | None, **extra) -> dict | None:
 # report builders (plain JSON-safe dictionaries)
 
 
-def _catalog_report() -> dict:
-    rows = []
-    for r in load_catalog():
-        rows.append(
-            {
-                "family": r.id,
-                "weights": list(r.weights),
-                "degree": r.degree,
-                "index": r.index,
-                "rational": r.rational,
-            }
-        )
-    return {"verb": "catalog", "count": len(rows), "families": rows}
+def _family_fields(record: FamilyRecord) -> dict:
+    """The catalog row of one family, shared by ``catalog`` and ``analyze``."""
+    return {
+        "family": record.id,
+        "weights": list(record.weights),
+        "degree": record.degree,
+        "index": record.index,
+        "rational": record.rational,
+    }
 
 
-def _analyze_report(record: cat.FamilyRecord) -> dict:
+def _catalog_report(command: Command) -> tuple[int, dict]:
+    rows = [_family_fields(r) for r in load_catalog()]
+    return 0, {"verb": "catalog", "count": len(rows), "families": rows}
+
+
+def _analyze_report(command: Command) -> tuple[int, dict]:
+    record = family(command.family)
     sites = []
     for entry in singular_locus(record):
         sites.append(
@@ -118,15 +101,8 @@ def _analyze_report(record: cat.FamilyRecord) -> dict:
                 ],
             }
         )
-    return {
-        "verb": "analyze",
-        "family": record.id,
-        "weights": list(record.weights),
-        "degree": record.degree,
-        "index": record.index,
-        "rational": record.rational,
-        "singular_locus": sites,
-        "smooth": not sites,
+    return 0, {
+        "verb": "analyze", **_family_fields(record), "singular_locus": sites, "smooth": not sites
     }
 
 
@@ -149,9 +125,17 @@ def _step_dict(step) -> dict:
     }
 
 
-def _game_report(record: cat.FamilyRecord, entry: SingularLocusEntry, tangent: str) -> dict:
+def _game_report(command: Command) -> tuple[int, dict]:
+    record = family(command.family)
+    entry = locate(record, command.point)
+    tangent = command.tangent
+    # without a center the blow-up raises before it reads the tangent
+    if tangent is None and entry.center is not None:
+        if len(entry.tangent_candidates) != 1:
+            raise ValueError(f"{command.point} has several tangent candidates; pass --tangent")
+        tangent = f"x{entry.tangent_candidates[0][1]}"
     trace, outcome = linkengine.run_game(record, entry, tangent)
-    return {
+    return 0, {
         "verb": "game",
         "family": record.id,
         "point": entry.site.label,
@@ -173,7 +157,8 @@ def _game_report(record: cat.FamilyRecord, entry: SingularLocusEntry, tangent: s
     }
 
 
-def _exclude_report(record: cat.FamilyRecord) -> dict:
+def _exclude_report(command: Command) -> tuple[int, dict]:
+    record = family(command.family)
     smooth = exclusion.smooth_point_test(record)
     curve = exclusion.curve_test(record)
     witness = exclusion.fibration_witness(record)
@@ -203,10 +188,10 @@ def _exclude_report(record: cat.FamilyRecord) -> dict:
             "fibre_canonical_degree": witness.fibre_canonical_degree,
             "pencil": witness.pencil,
         }
-    return out
+    return 0, out
 
 
-def _verify_report() -> tuple[int, dict]:
+def _verify_report(command: Command) -> tuple[int, dict]:
     try:
         report = linkengine.verify_tables()
     except linkengine.VerificationFailure as err:
@@ -236,33 +221,42 @@ def _verify_report() -> tuple[int, dict]:
     return (0 if report.ok else 1), out
 
 
+#: The command-line grammar, for :func:`run`, :func:`build_parser` and
+#: :func:`_read_plain`: for each verb its help, its report builder (from the
+#: :class:`Command` to the exit status and the report), whether it takes a
+#: ``family``, and its options besides ``--format`` as ``(option, help, required)``.
+_GRAMMAR = {
+    "catalog": ("replay the family table", _catalog_report, False, ()),
+    "analyze": ("singular locus of one family", _analyze_report, True, ()),
+    "game": (
+        "run one 2-ray game",
+        _game_report,
+        True,
+        (
+            ("--point", "site label, e.g. p3 or p2p4", True),
+            ("--tangent", "tangent variable, e.g. x2", False),
+        ),
+    ),
+    "exclude": ("numerical tests and fibration witness", _exclude_report, True, ()),
+    "verify": ("replay all reference tables", _verify_report, False, ()),
+}
+
+
+def _complete(command: Command) -> bool:
+    """Whether the command's verb is in :data:`_GRAMMAR` and the command has
+    the family and every required option that the verb takes there."""
+    if command.verb not in _GRAMMAR:
+        return False
+    _, _, takes_family, options = _GRAMMAR[command.verb]
+    needed = (["family"] if takes_family else []) + [o[2:] for o, _, req in options if req]
+    return all(getattr(command, name) is not None for name in needed)
+
+
 def run(command: Command) -> tuple[int, dict]:
     """Execute one command; returns (exit status, JSON-safe report dict)."""
-    if command.verb in ("analyze", "game", "exclude") and command.family is None:
+    if not _complete(command):
         raise SystemExit(USAGE_ERROR)
-    if command.verb == "game" and command.point is None:
-        raise SystemExit(USAGE_ERROR)
-    if command.verb == "catalog":
-        return 0, _catalog_report()
-    if command.verb == "analyze":
-        return 0, _analyze_report(family(command.family))
-    if command.verb == "game":
-        record = family(command.family)
-        entry = locate(record, command.point)
-        tangent = command.tangent
-        # without a center the blow-up raises before it reads the tangent
-        if tangent is None and entry.center is not None:
-            if len(entry.tangent_candidates) != 1:
-                raise ValueError(
-                    f"{command.point} has several tangent candidates; pass --tangent"
-                )
-            tangent = f"x{entry.tangent_candidates[0][1]}"
-        return 0, _game_report(record, entry, tangent)
-    if command.verb == "exclude":
-        return 0, _exclude_report(family(command.family))
-    if command.verb == "verify":
-        return _verify_report()
-    raise SystemExit(USAGE_ERROR)
+    return _GRAMMAR[command.verb][1](command)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=help_formatter,
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb, (verb_help, takes_family, options) in _GRAMMAR.items():
+    for verb, (verb_help, _, takes_family, options) in _GRAMMAR.items():
         p = sub.add_parser(verb, help=verb_help, formatter_class=help_formatter)
         if takes_family:
             p.add_argument("family", type=int)
@@ -500,7 +494,7 @@ def _read_plain(argv: list[str]) -> Command | None:
     """
     if not argv or argv[0] not in _GRAMMAR:
         return None
-    _, takes_family, options = _GRAMMAR[argv[0]]
+    _, _, takes_family, options = _GRAMMAR[argv[0]]
     allowed = ("--format", *(option for option, _, _ in options))
     fields = {"verb": argv[0]}
     tokens = iter(argv[1:])
@@ -519,11 +513,8 @@ def _read_plain(argv: list[str]) -> Command | None:
             return None
     if fields.get("format", "markdown") not in _FORMATS:
         return None
-    if takes_family and "family" not in fields:
-        return None
-    if any(required and option[2:] not in fields for option, _, required in options):
-        return None
-    return Command(**fields)
+    command = Command(**fields)
+    return command if _complete(command) else None
 
 
 def main(argv: list[str] | None = None) -> int:

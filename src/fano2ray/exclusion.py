@@ -114,30 +114,26 @@ def fibration_witness(record: FamilyRecord) -> FibrationWitness | None:
     if a[0] * a[1] >= record.index:
         return None
     if a[0] > 1:
-        witness = FibrationWitness(
-            family=record.id,
-            target=(a[0], a[1]),
-            kind="complete_intersection",
-            ambient=a,
-            degrees=(record.degree, a[0] * a[1]),
-            fibre_canonical_degree=record.degree + a[0] * a[1] - sum(a),
-            pencil=f"x1^{a[0]} = lambda * x0^{a[1]}",
-        )
+        kind, ambient, degrees = "complete_intersection", a, (record.degree, a[0] * a[1])
+        pencil = f"x1^{a[0]} = lambda * x0^{a[1]}"
     else:
-        witness = FibrationWitness(
-            family=record.id,
-            target=(a[0], a[1]),
-            kind="hypersurface",
-            ambient=a[1:],
-            degrees=(record.degree,),
-            fibre_canonical_degree=record.degree - sum(a[1:]),
-        )
-    if witness.fibre_canonical_degree >= 0:
+        kind, ambient, degrees, pencil = "hypersurface", a[1:], (record.degree,), None
+    # adjunction: the fibre's canonical class has the degree sum(degrees) - sum(ambient)
+    canonical_degree = sum(degrees) - sum(ambient)
+    if canonical_degree >= 0:
         raise InvariantBreach(
             f"family {record.id}: index check passed but the fibre canonical "
-            f"degree is {witness.fibre_canonical_degree}"
+            f"degree is {canonical_degree}"
         )
-    return witness
+    return FibrationWitness(
+        family=record.id,
+        target=(a[0], a[1]),
+        kind=kind,
+        ambient=ambient,
+        degrees=degrees,
+        fibre_canonical_degree=canonical_degree,
+        pencil=pencil,
+    )
 
 
 class SoliditySummary(Record):

@@ -348,14 +348,41 @@ def test_unreadable_family_line_names_file_and_line(
             "110 p4 3,2,5 cE7 1,1,1,2,3 7 hypersurfce",
             "construction must be hypersurface or unprojection: 'hypersurfce'",
         ),
+        (
+            "link_targets.txt",
+            "100 p3 3,1,2 cE6",
+            "100 p3 3,1 cE6",
+            "expected 3 integers, got '3,1'",
+        ),
+        (
+            "exclusions.txt",
+            "103 p1 x3 1 1,1,1 ",
+            "103 p1 x3 1 1,1 ",
+            "expected 3 integers, got '1,1'",
+        ),
+        (
+            "reference_matrices.txt",
+            "100 p3 wellformed ",
+            "100 p3 wellformd ",
+            "stage must be one of raw, wellformed, unprojected, wellformed_unprojected: "
+            "'wellformd'",
+        ),
+        (
+            "reference_matrices.txt",
+            "100 p3 raw u,y3,y4,y2,y1,y0 0,5,9,3,2,1 ",
+            "100 p3 raw u,y3,y4,y2,y1,y0 0,5,9,3,2 ",
+            "expected 6 integers, got '0,5,9,3,2'",
+        ),
     ],
-    ids=["tangent", "construction"],
+    ids=["tangent", "construction", "kawamata-type", "local-type", "stage", "matrix-row"],
 )
 def test_bad_expectation_value_names_file_and_line(
     tmp_path, monkeypatch, name, row, edited, message
 ):
-    # a tangent outside x0..x4 used to replay another game, and a misspelled
-    # construction passed as a hypersurface link
+    # a tangent outside x0..x4 used to replay another game, a misspelled
+    # construction passed as a hypersurface link, a short type passed as a
+    # deviation, a misspelled stage failed the replay without a line, and a
+    # short matrix row was truncated to fewer columns
     data = tmp_path / "data"
     shutil.copytree(Path(fano2ray.__file__).parent / "data", data)
     path = data / name

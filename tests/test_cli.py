@@ -74,9 +74,28 @@ def test_empty_report_serializes_minimally():
     assert json.loads(serialize({}, "json")) == {}
 
 
-def test_game_requires_point():
-    with pytest.raises(SystemExit):
-        run(Command(verb="game", family=110))
+@pytest.mark.parametrize(
+    "command",
+    [
+        Command(verb="analyze"),
+        Command(verb="exclude"),
+        Command(verb="game", point="p4"),
+        Command(verb="game", family=110),
+        Command(verb="bogus", family=110),
+    ],
+    ids=[
+        "analyze-without-family",
+        "exclude-without-family",
+        "game-without-family",
+        "game-without-point",
+        "unknown-verb",
+    ],
+)
+def test_game_requires_point(command):
+    # run rejects what the grammar rejects, with the usage status
+    with pytest.raises(SystemExit) as err:
+        run(command)
+    assert err.value.code == 2
 
 
 def test_game_tangent_inferred_when_unique():
@@ -371,6 +390,37 @@ def test_verify_reports_a_wrong_recorded_target(
     assert len(doc["failures"]) == 1
     assert doc["failures"][0].startswith(failure)
     # the library gives the same verdict as the CLI
+    with pytest.raises(VerificationFailure) as err:
+        verify_tables()
+    assert err.value.report.failures == doc["failures"]
+
+
+@pytest.mark.parametrize(
+    "edited",
+    [
+        "100 p3 wellformed u,y3,y4,y1,y2 2,1,1,0,-1 -5,0,2,1,4\n",
+        "100 p3 wellformed u,y3,y4,y1,y2,y 2,1,1,0,-1,-1 -5,0,2,1,4,3\n",
+    ],
+    ids=["dropped-y0", "y-for-y0"],
+)
+def test_verify_reports_a_wrong_recorded_matrix_label(tmp_path, monkeypatch, capsys, edited):
+    # a well-formed matrix whose labels differ from the model's is a failure
+    # row, not a match (a dropped column) or a bare lookup error (a renamed one)
+    data = tmp_path / "data"
+    shutil.copytree(Path(fano2ray.__file__).parent / "data", data)
+    matrices = data / "reference_matrices.txt"
+    row = "100 p3 wellformed u,y3,y4,y1,y2,y0 2,1,1,0,-1,-1 -5,0,2,1,4,3\n"
+    text = matrices.read_text(encoding="utf-8")
+    assert text.count(row) == 1
+    matrices.write_text(text.replace(row, edited), encoding="utf-8")
+    monkeypatch.setenv("FANO2RAY_DATA", str(data))
+
+    assert main(["verify", "--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] is False
+    assert (doc["matrices"]["matched"], doc["matrices"]["total"]) == (6, 7)
+    assert len(doc["failures"]) == 1
+    assert doc["failures"][0].startswith("family 100 p3 wellformed: label mismatch")
     with pytest.raises(VerificationFailure) as err:
         verify_tables()
     assert err.value.report.failures == doc["failures"]

@@ -7,14 +7,17 @@ contraction) and the witnesses; then the anticanonical class, its position,
 the outcome kind and the end model.  ``models.txt`` has one line per game in
 the same order, read off the ``GameTrace``: the columns and equation
 bidegrees of the raw, well-formed, raw-grading unprojected (``-`` when the
-game needs no unprojection) and game models.  Regenerate with
+game needs no unprojection) and game models.  ``verbs.txt`` has the
+``catalog`` document, then the ``analyze`` and the ``exclude`` documents of
+every family, one compact sorted-key JSON line each.  Regenerate with
 ``PYTHONPATH=src python tests/test_golden_games.py games > tests/golden/games.txt``
-(or ``models > tests/golden/models.txt``) when a change to the games is
-intended.
+(or ``models > tests/golden/models.txt``, ``verbs > tests/golden/verbs.txt``)
+when a change to the outputs is intended.
 """
 
 from __future__ import annotations
 
+import json
 import sys
 from pathlib import Path
 
@@ -86,6 +89,14 @@ def models_table() -> str:
     return "\n".join(lines) + "\n"
 
 
+def verbs_table() -> str:
+    commands = [Command(verb="catalog")]
+    for verb in ("analyze", "exclude"):
+        commands += [Command(verb=verb, family=record.id) for record in load_catalog()]
+    lines = [json.dumps(run(command)[1], sort_keys=True) for command in commands]
+    return "\n".join(lines) + "\n"
+
+
 def test_every_game_matches_golden():
     table = games_table()
     assert table.count("\n") == 87
@@ -98,5 +109,12 @@ def test_every_game_model_matches_golden():
     assert table.encode("utf-8") == (GOLDEN / "models.txt").read_bytes()
 
 
+def test_every_other_verb_matches_golden():
+    table = verbs_table()
+    assert table.count("\n") == 1 + 2 * 35
+    assert table.encode("utf-8") == (GOLDEN / "verbs.txt").read_bytes()
+
+
 if __name__ == "__main__":
-    sys.stdout.write({"games": games_table, "models": models_table}[sys.argv[1]]())
+    tables = {"games": games_table, "models": models_table, "verbs": verbs_table}
+    sys.stdout.write(tables[sys.argv[1]]())

@@ -193,7 +193,7 @@ def test_elementary_links_satisfy_adjunction():
     # every elementary link of the 87 games; only the six recorded
     # (family, point) links carry a label
     recorded = {
-        (exp.family, exp.point): exp.label
+        (rec.id, exp.point): exp.label
         for rec in load_catalog()
         for exp in rec.expected.links
     }
