@@ -31,6 +31,8 @@ Weights = tuple[int, ...]
 Monomial = tuple[int, ...]
 #: The ambient variables, in exponent-vector order.
 AMBIENT_VARIABLES = ("x0", "x1", "x2", "x3", "x4")
+#: The recorded matrix stages of a game, in pipeline order.
+MATRIX_STAGES = ("raw", "wellformed", "unprojected", "wellformed_unprojected")
 
 
 class CatalogError(ValueError):
@@ -185,7 +187,9 @@ class ExclusionExpectation(Record):
     tangent: str
     count: int
     local_type: tuple[int, int, int]
-    keys: tuple[str, ...]
+    #: every recorded key as ``(text, monomial)``: the ``|`` alternatives and
+    #: their ``+`` terms flattened in recorded order
+    keys: tuple[tuple[str, Monomial], ...]
     blowup: str
     corrected_blowup: str
     verdict: str  # "bad_link" | "no_link"
@@ -248,14 +252,15 @@ def anticanonical_cube(record: FamilyRecord) -> Fraction:
 # ---------------------------------------------------------------------------
 # parsing of the embedded data files
 
-_MONO_RE = re.compile(r"^x([0-4])(?:\^(\d+))?$")
+_MONO_RE = re.compile(r"x([0-4])(?:\^([0-9]+))?")
+_INT_RE = re.compile(r"-?[0-9]+")
 
 
 def parse_ambient_monomial(text: str) -> Monomial:
     """Parse ``"x2^7*x0"`` into the exponent vector ``(1, 0, 7, 0, 0)``."""
     exps = [0] * 5
     for factor in text.split("*"):
-        m = _MONO_RE.match(factor.strip())
+        m = _MONO_RE.fullmatch(factor.strip())
         if m is None:
             raise CatalogError(f"bad monomial factor {factor!r} in {text!r}")
         exps[int(m.group(1))] += int(m.group(2) or 1)
@@ -269,8 +274,15 @@ def monomial_str(monomial: Monomial, names: tuple[str, ...] = AMBIENT_VARIABLES)
     return text or "1"
 
 
+def _int(text: str) -> int:
+    """A recorded integer: ASCII digits with an optional leading ``-``."""
+    if _INT_RE.fullmatch(text) is None:
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _ints(text: str, count: int | None = None) -> tuple[int, ...]:
-    ints = tuple(int(t) for t in text.split(","))
+    ints = tuple(map(_int, text.split(",")))
     if count is not None and len(ints) != count:
         raise ValueError(f"expected {count} integers, got {text!r}")
     return ints
@@ -315,7 +327,7 @@ def _by_family(rows: list) -> dict[int, tuple]:
 def _link_row(fam, point, ktype, label, tweights, tdegrees, construction):
     if construction not in ("hypersurface", "unprojection"):
         raise ValueError(f"construction must be hypersurface or unprojection: {construction!r}")
-    return int(fam), LinkExpectation(
+    return _int(fam), LinkExpectation(
         point=point,
         kawamata_type=_ints(ktype, 3),  # type: ignore[arg-type]
         label=label,
@@ -326,14 +338,16 @@ def _link_row(fam, point, ktype, label, tweights, tdegrees, construction):
 
 
 def _exclusion_row(fam, site, tangent, count, ltype, keys, blowup, corrected, verdict):
-    if tangent not in ("x0", "x1", "x2", "x3", "x4"):
+    if tangent not in AMBIENT_VARIABLES:
         raise ValueError(f"tangent must be one of x0..x4, got {tangent!r}")
-    return int(fam), ExclusionExpectation(
+    if verdict not in ("bad_link", "no_link"):
+        raise ValueError(f"verdict must be bad_link or no_link, got {verdict!r}")
+    return _int(fam), ExclusionExpectation(
         site=site,
         tangent=tangent,
-        count=int(count),
+        count=_int(count),
         local_type=_ints(ltype, 3),  # type: ignore[arg-type]
-        keys=tuple(keys.split("|")),
+        keys=tuple((text, parse_ambient_monomial(text)) for text in re.split("[|+]", keys)),
         blowup=blowup,
         corrected_blowup=blowup if corrected == "=" else corrected,
         verdict=verdict,
@@ -341,12 +355,11 @@ def _exclusion_row(fam, site, tangent, count, ltype, keys, blowup, corrected, ve
 
 
 def _matrix_row(fam, point, stage, labels, row1, row2):
-    stages = ("raw", "wellformed", "unprojected", "wellformed_unprojected")
-    if stage not in stages:
-        raise ValueError(f"stage must be one of {', '.join(stages)}: {stage!r}")
+    if stage not in MATRIX_STAGES:
+        raise ValueError(f"stage must be one of {', '.join(MATRIX_STAGES)}: {stage!r}")
     labels = labels.split(",")
     rows = zip(_ints(row1, len(labels)), _ints(row2, len(labels)))
-    return int(fam), MatrixExpectation(point=point, stage=stage, columns=tuple(zip(labels, rows)))
+    return _int(fam), MatrixExpectation(point=point, stage=stage, columns=tuple(zip(labels, rows)))
 
 
 def _validate(records: tuple[FamilyRecord, ...]) -> None:
@@ -372,10 +385,10 @@ def _load_catalog(data_dir: str) -> tuple[FamilyRecord, ...]:
     def family_row(fam, weights, degree, rational, h) -> FamilyRecord:
         if rational not in ("yes", "no"):
             raise ValueError(f"rational must be yes or no, got {rational!r}")
-        h_degree = None if h == "-" else int(h)
+        h_degree = None if h == "-" else _int(h)
         if h_degree is not None and h_degree < 1:
             raise ValueError(f"h must be a positive integer or -, got {h!r}")
-        fam_id, weights, degree = int(fam), _ints(weights), int(degree)
+        fam_id, weights, degree = _int(fam), _ints(weights), _int(degree)
         # raises on a weight count other than 5 or a weight <= 0
         if fano_index(weights, degree) < 1:
             raise ValueError("non-positive Fano index")

@@ -14,8 +14,10 @@ Fano adjunction bound ``sum(degrees) < sum(weights)``, and the recorded
 singularity label of the link, if any, is ``LinkOutcome.label``.
 
 ``verify_tables`` runs each recorded (family, site, tangent) game once and
-reads every checked value off its trace, confirming the computed end models,
-verdicts and weight matrices and reporting every known discrepancy
+reads every checked value off its trace.  It compares typed expectations:
+:mod:`fano2ray.catalog` reads and checks every recorded value as it loads,
+so the replay parses no recorded text.  It confirms the computed end models,
+verdicts and weight matrices and reports every known discrepancy
 in the reference data (misprinted Kawamata formats, degree-inconsistent key
 monomials, mislabelled blow-up rows, the inconsistent u-column of the
 unprojected 110 matrix) as a deviation with both the recorded and the
@@ -28,11 +30,11 @@ from __future__ import annotations
 
 from ._records import Record
 from .catalog import (
+    MATRIX_STAGES,
     FamilyRecord,
     load_catalog,
     monomial_str,
     monomial_support,
-    parse_ambient_monomial,
     weighted_degree,
 )
 from .exclusion import SoliditySummary, smooth_point_test, solidity_summary
@@ -225,7 +227,7 @@ def _quotient_type(r: int, weights) -> str:
     return "1/%d(%s)" % (r, ",".join(map(str, weights)))
 
 
-def _replay_game(games: dict, record: FamilyRecord, point: str, tangent: int | None = None):
+def _replay_game(games: dict, record: FamilyRecord, point: str, tangent: str | None = None):
     """``run_game`` memoised by (family, site, tangent) within one replay;
     ``tangent=None`` stands for the site's first tangent candidate, the one
     the link and matrix tables refer to."""
@@ -248,25 +250,23 @@ def _check_keys(record, entry, exp, report: Report) -> None:
             for a, b in monomial_support((w[i], w[j]), record.degree)
         }
     center = entry.center if entry.center is not None else entry.site.variables[0]
-    for text in exp.keys:
-        for part in text.split("+"):
-            monomial = parse_ambient_monomial(part)
-            if weighted_degree(record.weights, monomial) != record.degree:
-                fix = center_completion(record.weights, record.degree, center, monomial)
-                keys = sorted(monomial_str(k) for k, _ in entry.tangent_candidates)
-                derived = "|".join(keys) if fix is None else monomial_str(fix)
-                report.add_deviation(
-                    "key_monomial_degree",
-                    record.id,
-                    entry.site.label,
-                    part,
-                    derived,
-                )
-            elif monomial not in candidates:
-                report.failures.append(
-                    f"family {record.id} {entry.site.label}: recorded key {part} is "
-                    "degree-consistent but not in the support data"
-                )
+    for text, monomial in exp.keys:
+        if weighted_degree(record.weights, monomial) != record.degree:
+            fix = center_completion(record.weights, record.degree, center, monomial)
+            keys = sorted(monomial_str(k) for k, _ in entry.tangent_candidates)
+            derived = "|".join(keys) if fix is None else monomial_str(fix)
+            report.add_deviation(
+                "key_monomial_degree",
+                record.id,
+                entry.site.label,
+                text,
+                derived,
+            )
+        elif monomial not in candidates:
+            report.failures.append(
+                f"family {record.id} {entry.site.label}: recorded key {text} is "
+                "degree-consistent but not in the support data"
+            )
 
 
 def _check_links(records, games: dict, report: Report) -> None:
@@ -310,7 +310,7 @@ def _check_links(records, games: dict, report: Report) -> None:
 def _check_exclusions(records, games: dict, report: Report) -> None:
     for record in records:
         for exp in record.expected.exclusions:
-            trace, outcome = _replay_game(games, record, exp.site, int(exp.tangent[1:]))
+            trace, outcome = _replay_game(games, record, exp.site, exp.tangent)
             entry = trace.blowup.center_entry
             verdict_ok = outcome.kind == exp.verdict
             if not verdict_ok:
@@ -362,22 +362,20 @@ def _check_exclusions(records, games: dict, report: Report) -> None:
 
 
 #: Recorded matrix stage -> the GameTrace field holding that model.
-_STAGE_FIELDS = {
-    "raw": "raw",
-    "wellformed": "well_formed",
-    "unprojected": "raw_unprojected",
-    "wellformed_unprojected": "game_model",
-}
+_STAGE_FIELDS = dict(
+    zip(MATRIX_STAGES, ("raw", "well_formed", "raw_unprojected", "game_model"), strict=True)
+)
 
 
 def _check_matrices(records, games: dict, report: Report) -> None:
     for record in records:
         for exp in record.expected.matrices:
             trace, _ = _replay_game(games, record, exp.point)
-            model = getattr(trace, _STAGE_FIELDS[exp.stage])
+            field = _STAGE_FIELDS[exp.stage]
+            model = getattr(trace, field)
             mine, recorded = model.column_map(), dict(exp.columns)
             method, matched = "exact", True
-            if mine != recorded and exp.stage in ("raw", "unprojected"):
+            if mine != recorded and field in ("raw", "raw_unprojected"):
                 matched = False
                 report.failures.append(
                     f"family {record.id} {exp.point} {exp.stage}: computed columns "

@@ -229,7 +229,10 @@ def _hnf_basis(vectors: list[Vec]) -> tuple[int, int, int]:
         if by == 0:
             bx, by = x, y
             continue
-        g, s, t = _xgcd(by, y)
+        # s*by + t*y == g: s inverts by/g modulo |y/g|, then t is exact
+        g = gcd(by, y)
+        s = pow(by // g, -1, abs(y // g))
+        t = (g - s * by) // y
         a = gcd(a, (by // g) * x - (y // g) * bx)
         bx, by = s * bx + t * x, g
     if a == 0 or by == 0:
@@ -239,21 +242,6 @@ def _hnf_basis(vectors: list[Vec]) -> tuple[int, int, int]:
         bx, by = -bx, -by
     bx %= a
     return a, bx, by
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    # g, s, t with s*a + t*b == g
-    s, next_s = 1, 0
-    t, next_t = 0, 1
-    g, next_g = a, b
-    while next_g:
-        q = g // next_g
-        s, next_s = next_s, s - q * next_s
-        t, next_t = next_t, t - q * next_t
-        g, next_g = next_g, g - q * next_g
-    if g < 0:
-        g, s, t = -g, -s, -t
-    return g, s, t
 
 
 def _regraded(model: RankTwoModel, matrix: tuple[Vec, Vec], den: int = 1) -> RankTwoModel:

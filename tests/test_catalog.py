@@ -311,6 +311,10 @@ def test_well_form_weights_rejects_non_integers():
         ("110 1,3,5,7,8 21 no 0", "h must be a positive integer or -, got '0'"),
         ("110 1,3,5,7 21 no 15", "expected 5 ambient weights, got 4"),
         ("110 0,3,5,7,8 21 no 15", "weights must be positive"),
+        # int() reads a sign, underscores and non-ASCII digits
+        ("110 +1,3,5,7,8 21 no 15", "not an integer: '+1'"),
+        ("110 1,3,5,7,8 2_1 no 15", "not an integer: '2_1'"),
+        ("110 1,3,5,7,8 21 no \u0661\u0665", "not an integer: '\u0661\u0665'"),
     ],
 )
 def test_unreadable_family_line_names_file_and_line(
@@ -373,16 +377,67 @@ def test_unreadable_family_line_names_file_and_line(
             "100 p3 raw u,y3,y4,y2,y1,y0 0,5,9,3,2 ",
             "expected 6 integers, got '0,5,9,3,2'",
         ),
+        (
+            "link_targets.txt",
+            "110 p4 3,2,5 ",
+            "110 p4 +3,2,5 ",
+            "not an integer: '+3'",
+        ),
+        (
+            "reference_matrices.txt",
+            "100 p3 raw u,y3,y4,y2,y1,y0 0,5,9,3,2,1 ",
+            "100 p3 raw u,y3,y4,y2,y1,y0 0,5,9,3,2,1_0 ",
+            "not an integer: '1_0'",
+        ),
+        (
+            "exclusions.txt",
+            "100 p2p4 x4 2 ",
+            "100 p2p4 x4 \u0662 ",
+            "not an integer: '\u0662'",
+        ),
+        (
+            "exclusions.txt",
+            "100 p2p4 x4 2 1,2,2 x4^2+x4*x2^2 ",
+            "100 p2p4 x4 2 1,2,2 x4^2+x4*y2^2 ",
+            "bad monomial factor 'y2^2' in 'x4*y2^2'",
+        ),
+        (
+            "exclusions.txt",
+            "100 p2p4 x4 2 1,2,2 x4^2+x4*x2^2 ",
+            "100 p2p4 x4 2 1,2,2 x4^2+x4*x2^\u0662 ",
+            "bad monomial factor 'x2^\u0662' in 'x4*x2^\u0662'",
+        ),
+        (
+            "exclusions.txt",
+            "102 p2 x0 1 2,2,3 x2^5*x0 -5u,0y2,1y3,4y4,8y(21),1y1,3y0 = bad_link",
+            "102 p2 x0 1 2,2,3 x2^5*x0 -5u,0y2,1y3,4y4,8y(21),1y1,3y0 = bad_lnk",
+            "verdict must be bad_link or no_link, got 'bad_lnk'",
+        ),
     ],
-    ids=["tangent", "construction", "kawamata-type", "local-type", "stage", "matrix-row"],
+    ids=[
+        "tangent",
+        "construction",
+        "kawamata-type",
+        "local-type",
+        "stage",
+        "matrix-row",
+        "signed-integer",
+        "underscored-integer",
+        "non-ascii-integer",
+        "key-variable",
+        "key-exponent",
+        "verdict",
+    ],
 )
 def test_bad_expectation_value_names_file_and_line(
-    tmp_path, monkeypatch, name, row, edited, message
+    tmp_path, monkeypatch, capsys, name, row, edited, message
 ):
     # a tangent outside x0..x4 used to replay another game, a misspelled
     # construction passed as a hypersurface link, a short type passed as a
-    # deviation, a misspelled stage failed the replay without a line, and a
-    # short matrix row was truncated to fewer columns
+    # deviation, a misspelled stage failed the replay without a line, a
+    # short matrix row was truncated to fewer columns, a signed, underscored
+    # or non-ASCII integer was read by int(), and a malformed key or a
+    # misspelled verdict failed only the replay
     data = tmp_path / "data"
     shutil.copytree(Path(fano2ray.__file__).parent / "data", data)
     path = data / name
@@ -395,6 +450,8 @@ def test_bad_expectation_value_names_file_and_line(
     where = f"{path}, line {number}: "
     with pytest.raises(CatalogError, match=re.escape(where + message)):
         load_catalog()
+    assert main(["catalog"]) == 1
+    assert capsys.readouterr().err == f"error: {where}{message}\n"
 
 
 def test_catalog_weights_are_well_formed():
@@ -421,13 +478,16 @@ def test_expected_key_monomials_consistent_ones_in_support():
     for r in load_catalog():
         sup = r.support()
         for exc in r.expected.exclusions:
-            for text in exc.keys:
-                for part in text.split("+"):
-                    mono = parse_ambient_monomial(part)
-                    if weighted_degree(r.weights, mono) == r.degree:
-                        assert mono in sup
-                    else:
-                        flagged.add((r.id, part))
+            for text, mono in exc.keys:
+                if weighted_degree(r.weights, mono) == r.degree:
+                    assert mono in sup
+                else:
+                    flagged.add((r.id, text))
+    # the alternatives and terms of a recorded key, in recorded order
+    assert family(101).expected.exclusions[0].keys == (
+        ("x2^3*x4", (0, 0, 3, 0, 1)),
+        ("x2^7*x0", (1, 0, 7, 0, 0)),
+    )
     assert flagged == {
         (100, "x4*x2^2"),
         (101, "x2^3*x4"),

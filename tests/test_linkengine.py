@@ -6,8 +6,8 @@ from collections import Counter
 import pytest
 
 from fano2ray import cli, exclusion, linkengine
-from fano2ray.catalog import family, load_catalog
-from fano2ray.linkengine import run_game, verify_tables
+from fano2ray.catalog import MATRIX_STAGES, family, load_catalog
+from fano2ray.linkengine import GameTrace, run_game, verify_tables
 from fano2ray.singular import blowup_weights, locate, singular_locus
 from fano2ray.toric2ray import (
     MONO_VARIABLES,
@@ -222,6 +222,11 @@ def test_verify_tables_matches_everything():
     assert len(report.exclusion_rows) == 7
     assert all(r["matched"] for r in report.matrix_rows)
     assert len(report.matrix_rows) == 7
+
+
+def test_every_matrix_stage_reads_a_trace_field():
+    assert tuple(linkengine._STAGE_FIELDS) == MATRIX_STAGES
+    assert set(linkengine._STAGE_FIELDS.values()) <= set(GameTrace._fields)
 
 
 def test_verify_tables_deviations():

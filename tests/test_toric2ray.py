@@ -6,7 +6,7 @@ from math import gcd
 from operator import itemgetter, mul
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fano2ray.catalog import FamilyExpectations, FamilyRecord, family, load_catalog
@@ -20,6 +20,7 @@ from fano2ray.toric2ray import (
     RankTwoModel,
     TransformedEquation,
     ZeroClass,
+    _hnf_basis,
     _sort_columns,
     ambient_walk,
     build_model,
@@ -194,6 +195,24 @@ def test_flip_weights_invariant_under_regrading(a, b, swap_shear):
     original = [(s.wall, s.ambient_weights) for s in ambient_walk(model)]
     moved = [(s.wall, s.ambient_weights) for s in ambient_walk(transformed)]
     assert original == moved
+
+
+@given(st.lists(st.tuples(st.integers(-60, 60), st.integers(-60, 60)), max_size=6))
+@example([(5, 0), (3, -2)])  # one vector off the x-axis, pointing down
+def test_hnf_basis_spans_the_lattice_of_the_vectors(vectors):
+    minors = [det2(u, v) for i, u in enumerate(vectors) for v in vectors[i + 1 :]]
+    if not any(minors):
+        with pytest.raises(LatticeError):
+            _hnf_basis(vectors)
+        return
+    a, b, c = _hnf_basis(vectors)
+    assert 0 <= b < a and c > 0
+    assert c == gcd(*(y for _, y in vectors))
+    assert a * c == gcd(*minors)
+    # each vector is k*(B, C) plus a multiple of (A, 0); with A*C the index
+    # of both lattices, the basis spans exactly the vectors' lattice
+    for x, y in vectors:
+        assert y % c == 0 and (x - y // c * b) % a == 0
 
 
 def test_restrict_walk_100(raw100):
