@@ -316,18 +316,25 @@ def _read_rows(data_dir: str, name: str, width: int, parse) -> list:
     return rows
 
 
-def _by_family(rows: list) -> dict[int, tuple]:
-    """The expectations of ``(family id, expectation)`` rows, by family."""
+def _expectations(data_dir: str, name: str, width: int, parse, ids) -> dict[int, tuple]:
+    """One expectation file's rows by family id, each id one of ``ids``."""
+
+    def row(fam, *columns):
+        fam_id = _int(fam)
+        if fam_id not in ids:
+            raise ValueError(f"no family {fam_id} in families.txt")
+        return fam_id, parse(*columns)
+
     table: dict[int, tuple] = {}
-    for fam, exp in rows:
-        table[fam] = table.get(fam, ()) + (exp,)
+    for fam_id, exp in _read_rows(data_dir, name, width, row):
+        table[fam_id] = table.get(fam_id, ()) + (exp,)
     return table
 
 
-def _link_row(fam, point, ktype, label, tweights, tdegrees, construction):
+def _link_row(point, ktype, label, tweights, tdegrees, construction):
     if construction not in ("hypersurface", "unprojection"):
         raise ValueError(f"construction must be hypersurface or unprojection: {construction!r}")
-    return _int(fam), LinkExpectation(
+    return LinkExpectation(
         point=point,
         kawamata_type=_ints(ktype, 3),  # type: ignore[arg-type]
         label=label,
@@ -337,12 +344,12 @@ def _link_row(fam, point, ktype, label, tweights, tdegrees, construction):
     )
 
 
-def _exclusion_row(fam, site, tangent, count, ltype, keys, blowup, corrected, verdict):
+def _exclusion_row(site, tangent, count, ltype, keys, blowup, corrected, verdict):
     if tangent not in AMBIENT_VARIABLES:
         raise ValueError(f"tangent must be one of x0..x4, got {tangent!r}")
     if verdict not in ("bad_link", "no_link"):
         raise ValueError(f"verdict must be bad_link or no_link, got {verdict!r}")
-    return _int(fam), ExclusionExpectation(
+    return ExclusionExpectation(
         site=site,
         tangent=tangent,
         count=_int(count),
@@ -354,12 +361,12 @@ def _exclusion_row(fam, site, tangent, count, ltype, keys, blowup, corrected, ve
     )
 
 
-def _matrix_row(fam, point, stage, labels, row1, row2):
+def _matrix_row(point, stage, labels, row1, row2):
     if stage not in MATRIX_STAGES:
         raise ValueError(f"stage must be one of {', '.join(MATRIX_STAGES)}: {stage!r}")
     labels = labels.split(",")
     rows = zip(_ints(row1, len(labels)), _ints(row2, len(labels)))
-    return _int(fam), MatrixExpectation(point=point, stage=stage, columns=tuple(zip(labels, rows)))
+    return MatrixExpectation(point=point, stage=stage, columns=tuple(zip(labels, rows)))
 
 
 def _validate(records: tuple[FamilyRecord, ...]) -> None:
@@ -376,37 +383,44 @@ def _validate(records: tuple[FamilyRecord, ...]) -> None:
             raise CatalogError(f"family {r.id}: empty monomial support")
 
 
+def _family_row(fam, weights, degree, rational, h) -> FamilyRecord:
+    """A family without its expectations, which are read after every family."""
+    if rational not in ("yes", "no"):
+        raise ValueError(f"rational must be yes or no, got {rational!r}")
+    h_degree = None if h == "-" else _int(h)
+    if h_degree is not None and h_degree < 1:
+        raise ValueError(f"h must be a positive integer or -, got {h!r}")
+    fam_id, weights, degree = _int(fam), _ints(weights), _int(degree)
+    # raises on a weight count other than 5 or a weight <= 0
+    if fano_index(weights, degree) < 1:
+        raise ValueError("non-positive Fano index")
+    return FamilyRecord(
+        id=fam_id,
+        weights=weights,
+        degree=degree,
+        rational=rational == "yes",
+        expected=FamilyExpectations(),
+        h_degree=h_degree,
+    )
+
+
 @lru_cache(maxsize=None)
 def _load_catalog(data_dir: str) -> tuple[FamilyRecord, ...]:
-    links = _by_family(_read_rows(data_dir, "link_targets.txt", 7, _link_row))
-    exclusions = _by_family(_read_rows(data_dir, "exclusions.txt", 9, _exclusion_row))
-    matrices = _by_family(_read_rows(data_dir, "reference_matrices.txt", 6, _matrix_row))
-
-    def family_row(fam, weights, degree, rational, h) -> FamilyRecord:
-        if rational not in ("yes", "no"):
-            raise ValueError(f"rational must be yes or no, got {rational!r}")
-        h_degree = None if h == "-" else _int(h)
-        if h_degree is not None and h_degree < 1:
-            raise ValueError(f"h must be a positive integer or -, got {h!r}")
-        fam_id, weights, degree = _int(fam), _ints(weights), _int(degree)
-        # raises on a weight count other than 5 or a weight <= 0
-        if fano_index(weights, degree) < 1:
-            raise ValueError("non-positive Fano index")
-        return FamilyRecord(
-            id=fam_id,
-            weights=weights,
-            degree=degree,
-            rational=rational == "yes",
+    families = _read_rows(data_dir, "families.txt", 5, _family_row)
+    ids = {r.id for r in families}
+    links = _expectations(data_dir, "link_targets.txt", 7, _link_row, ids)
+    exclusions = _expectations(data_dir, "exclusions.txt", 9, _exclusion_row, ids)
+    matrices = _expectations(data_dir, "reference_matrices.txt", 6, _matrix_row, ids)
+    records = tuple(
+        r._replace(
             expected=FamilyExpectations(
-                links=links.get(fam_id, ()),
-                exclusions=exclusions.get(fam_id, ()),
-                matrices=matrices.get(fam_id, ()),
-            ),
-            h_degree=h_degree,
+                links=links.get(r.id, ()),
+                exclusions=exclusions.get(r.id, ()),
+                matrices=matrices.get(r.id, ()),
+            )
         )
-
-    records = _read_rows(data_dir, "families.txt", 5, family_row)
-    records = tuple(sorted(records, key=lambda r: r.id))
+        for r in sorted(families, key=lambda r: r.id)
+    )
     _validate(records)
     return records
 

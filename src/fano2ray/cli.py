@@ -15,7 +15,6 @@ through argparse, which is imported only then, with unchanged output.
 from __future__ import annotations
 
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -434,27 +433,6 @@ def serialize(report: dict, fmt: str) -> str:
 # argument parsing
 
 
-def _help_width() -> int:
-    """The width argparse's default formatter would pick itself.
-
-    That is what ``shutil.get_terminal_size`` gives (``COLUMNS``, else the
-    terminal on ``sys.__stdout__``, else 80) minus 2, computed here: argparse
-    makes a formatter for every argument it adds, and its own width lookup
-    imports ``shutil`` (and with it ``bz2``, ``lzma`` and ``zlib``) on every
-    run, although help is rarely printed.
-    """
-    try:
-        columns = int(os.environ["COLUMNS"])
-    except (KeyError, ValueError):
-        columns = 0
-    if columns <= 0:
-        try:
-            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
-        except (AttributeError, ValueError, OSError):
-            columns = 0
-    return (columns or 80) - 2
-
-
 def build_parser() -> argparse.ArgumentParser:
     # imported here, not at the top: a plain command line is read without a
     # parser (see _read_plain), and argparse's first message lookup imports
@@ -462,19 +440,13 @@ def build_parser() -> argparse.ArgumentParser:
     # start's parsing
     import argparse
 
-    width = _help_width()
-
-    def help_formatter(prog: str) -> argparse.HelpFormatter:
-        return argparse.HelpFormatter(prog, width=width)
-
     parser = argparse.ArgumentParser(
         prog="fano2ray",
         description="Birational analysis of the index >= 2 Fano threefold hypersurfaces",
-        formatter_class=help_formatter,
     )
     sub = parser.add_subparsers(dest="verb", required=True)
     for verb, (verb_help, _, takes_family, options) in _GRAMMAR.items():
-        p = sub.add_parser(verb, help=verb_help, formatter_class=help_formatter)
+        p = sub.add_parser(verb, help=verb_help)
         if takes_family:
             p.add_argument("family", type=int)
         for option, option_help, required in options:

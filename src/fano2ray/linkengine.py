@@ -249,10 +249,9 @@ def _check_keys(record, entry, exp, report: Report) -> None:
             tuple(a if l == i else (b if l == j else 0) for l in range(5))
             for a, b in monomial_support((w[i], w[j]), record.degree)
         }
-    center = entry.center if entry.center is not None else entry.site.variables[0]
     for text, monomial in exp.keys:
         if weighted_degree(record.weights, monomial) != record.degree:
-            fix = center_completion(record.weights, record.degree, center, monomial)
+            fix = center_completion(record.weights, record.degree, entry.center, monomial)
             keys = sorted(monomial_str(k) for k, _ in entry.tangent_candidates)
             derived = "|".join(keys) if fix is None else monomial_str(fix)
             report.add_deviation(
@@ -372,10 +371,15 @@ def _check_matrices(records, games: dict, report: Report) -> None:
         for exp in record.expected.matrices:
             trace, _ = _replay_game(games, record, exp.point)
             field = _STAGE_FIELDS[exp.stage]
+            missing = "unprojected" in exp.stage and not trace.unprojected
             model = getattr(trace, field)
-            mine, recorded = model.column_map(), dict(exp.columns)
-            method, matched = "exact", True
-            if mine != recorded and field in ("raw", "raw_unprojected"):
+            mine, recorded = None if missing else model.column_map(), dict(exp.columns)
+            method, matched = "exact", not missing
+            if missing:
+                report.failures.append(
+                    f"family {record.id} {exp.point} {exp.stage}: the game has no such model"
+                )
+            elif mine != recorded and field in ("raw", "raw_unprojected"):
                 matched = False
                 report.failures.append(
                     f"family {record.id} {exp.point} {exp.stage}: computed columns "

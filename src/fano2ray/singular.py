@@ -162,16 +162,16 @@ def _vertex_entry(record: FamilyRecord, i: int) -> SingularLocusEntry | None:
 def _stratum_entry(record: FamilyRecord, i: int, j: int) -> SingularLocusEntry | None:
     w, d = record.weights, record.degree
     r = gcd(w[i], w[j])
-    # exponent pairs (e_i, e_j) of the support restricted to the stratum;
-    # e_i determines e_j, so tuple order is order by e_i
+    # exponent pairs (e_i, e_j) of the support restricted to the stratum; up
+    # to a monomial factor the restriction is a binary form of degree
+    # len - 1 in x_i^(w_j/r), x_j^(w_i/r), and its roots are the points
     restricted = monomial_support((w[i], w[j]), d)
     if not restricted:
         raise NotTerminal(
             f"family {record.id}: stratum p{i}p{j} is contained in the member "
             "(one-dimensional singular locus, unsupported)"
         )
-    top, bot = max(restricted), min(restricted)
-    count = gcd(top[0] - bot[0], top[1] - bot[1])
+    count = len(restricted) - 1
     if count == 0:
         return None
     if w[j] % w[i] == 0:
@@ -204,8 +204,8 @@ def singular_locus(record: FamilyRecord) -> tuple[SingularLocusEntry, ...]:
     """All quotient singularities of a general member, vertices first.
 
     Vertices report every tangent candidate (key monomials ``x_i^k * x_j``);
-    strata report the number of points as the lattice length of the
-    restricted support segment.
+    strata report the number of points as the number of monomials of the
+    restricted support less one (the degree of the restricted binary form).
     """
     entries: list[SingularLocusEntry] = []
     w = record.weights

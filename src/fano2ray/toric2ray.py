@@ -244,7 +244,7 @@ def _hnf_basis(vectors: list[Vec]) -> tuple[int, int, int]:
     return a, bx, by
 
 
-def _regraded(model: RankTwoModel, matrix: tuple[Vec, Vec], den: int = 1) -> RankTwoModel:
+def _regraded(model: RankTwoModel, matrix: tuple[Vec, Vec], den: int) -> RankTwoModel:
     """The model with every column and equation bidegree mapped by
     ``matrix / den``; supports are kept.  Raises :class:`LatticeError` when
     an image is not integral."""

@@ -413,6 +413,25 @@ def test_unreadable_family_line_names_file_and_line(
             "102 p2 x0 1 2,2,3 x2^5*x0 -5u,0y2,1y3,4y4,8y(21),1y1,3y0 = bad_lnk",
             "verdict must be bad_link or no_link, got 'bad_lnk'",
         ),
+        # a row of a family missing from families.txt used to be dropped
+        (
+            "link_targets.txt",
+            "110 p4 3,2,5 ",
+            "1100 p4 3,2,5 ",
+            "no family 1100 in families.txt",
+        ),
+        (
+            "exclusions.txt",
+            "103 p2 x1 ",
+            "1003 p2 x1 ",
+            "no family 1003 in families.txt",
+        ),
+        (
+            "reference_matrices.txt",
+            "100 p3 wellformed ",
+            "1000 p3 wellformed ",
+            "no family 1000 in families.txt",
+        ),
     ],
     ids=[
         "tangent",
@@ -427,6 +446,9 @@ def test_unreadable_family_line_names_file_and_line(
         "key-variable",
         "key-exponent",
         "verdict",
+        "link-family",
+        "exclusion-family",
+        "matrix-family",
     ],
 )
 def test_bad_expectation_value_names_file_and_line(

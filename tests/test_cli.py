@@ -426,6 +426,84 @@ def test_verify_reports_a_wrong_recorded_matrix_label(tmp_path, monkeypatch, cap
     assert err.value.report.failures == doc["failures"]
 
 
+@pytest.mark.parametrize(
+    "row",
+    [
+        "100 p3 unprojected u,y3,y4,y2,y1,y0 0,5,9,3,2,1 -5,0,2,4,1,3",
+        "100 p3 wellformed_unprojected u,y3,y4,y1,y2,y0 2,1,1,0,-1,-1 -5,0,2,1,4,3",
+    ],
+    ids=["unprojected", "wellformed-unprojected"],
+)
+def test_verify_reports_a_recorded_matrix_of_a_missing_stage(tmp_path, monkeypatch, capsys, row):
+    # the game at 100 p3 needs no unprojection: a recorded unprojected matrix
+    # used to crash verify with an AttributeError on None, and a well-formed
+    # unprojected one matched the well-formed model
+    data = tmp_path / "data"
+    shutil.copytree(Path(fano2ray.__file__).parent / "data", data)
+    matrices = data / "reference_matrices.txt"
+    with open(matrices, "a", encoding="utf-8") as f:
+        f.write(row + "\n")
+    monkeypatch.setenv("FANO2RAY_DATA", str(data))
+
+    assert main(["verify", "--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] is False
+    assert (doc["matrices"]["matched"], doc["matrices"]["total"]) == (7, 8)
+    stage = row.split()[2]
+    assert doc["failures"] == [f"family 100 p3 {stage}: the game has no such model"]
+    with pytest.raises(VerificationFailure) as err:
+        verify_tables()
+    assert err.value.report.failures == doc["failures"]
+
+
+@pytest.mark.parametrize(
+    "row,edited,failure",
+    [
+        (
+            "103 p1 x3 1 1,1,1 x1^9*x4 -3u,0y1,2y4,1y2,4y3,1y0 = no_link",
+            "103 p1 x3 1 1,1,1 x1^9*x4 -3u,0y1,2y4,1y2,4y3,1y0 = bad_link",
+            "family 103 p1 tangent x3: expected bad_link, got no_link",
+        ),
+        (
+            "102 p2 x0 1 2,2,3",
+            "102 p2 x0 2 2,2,3",
+            "family 102 p2: point count 1 != recorded 2",
+        ),
+        (
+            "-5u,0y2,1y3,4y4,8y(21),1y1,3y0 = bad_link",
+            "-5u,0y2,1y3,4y4,8y(21),1y1,3y0 -5u,0y2,1y3,4y4,8y(21),1y1,4y0 bad_link",
+            "family 102 p2 tangent x0: blow-up row -5u,0y2,1y3,4y4,8y(21),1y1,3y0 != "
+            "recorded -5u,0y2,1y3,4y4,8y(21),1y1,4y0",
+        ),
+        (
+            "102 p2 x0 1 2,2,3 x2^5*x0 ",
+            "102 p2 x0 1 2,2,3 x2^3*x0^11 ",
+            "family 102 p2: recorded key x2^3*x0^11 is degree-consistent but not in "
+            "the support data",
+        ),
+    ],
+    ids=["verdict", "point-count", "corrected-blowup", "key-not-in-support"],
+)
+def test_verify_reports_a_wrong_recorded_exclusion(
+    tmp_path, monkeypatch, capsys, row, edited, failure
+):
+    data = tmp_path / "data"
+    shutil.copytree(Path(fano2ray.__file__).parent / "data", data)
+    exclusions = data / "exclusions.txt"
+    text = exclusions.read_text(encoding="utf-8")
+    assert text.count(row) == 1
+    exclusions.write_text(text.replace(row, edited), encoding="utf-8")
+    monkeypatch.setenv("FANO2RAY_DATA", str(data))
+
+    assert main(["verify", "--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] is False
+    assert doc["failures"] == [failure]
+    with pytest.raises(VerificationFailure) as err:
+        verify_tables()
+    assert err.value.report.failures == doc["failures"]
+
+
 def test_verify_markdown_sections():
     _, report = run(Command(verb="verify"))
     md = serialize(report, "markdown")

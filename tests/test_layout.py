@@ -26,9 +26,9 @@ def test_no_module_imports_another_modules_private_names():
 
 
 def test_start_up_imports_no_heavy_standard_modules():
-    # a fresh interpreter without site-packages, as a cold CLI run starts;
-    # parsing must not pull in shutil (argparse's own width lookup) either,
-    # and the records are built without typing
+    # a fresh interpreter without site-packages running a plain command
+    # line, as a cold CLI run starts: it reaches no argparse (whose width
+    # lookup imports shutil), and the records are built without typing
     heavy = (
         "dataclasses",
         "inspect",
@@ -42,10 +42,11 @@ def test_start_up_imports_no_heavy_standard_modules():
         "typing",
     )
     code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import fano2ray.cli; "
-        "fano2ray.catalog.load_catalog(); "
-        "fano2ray.cli.build_parser().parse_args(['verify', '--format', 'json']); "
-        f"print(sorted(m for m in {heavy!r} if m in sys.modules))"
+        "import io, sys; sys.path.insert(0, sys.argv[1]); import fano2ray.cli; "
+        "sys.stdout = io.StringIO(); "
+        "status = fano2ray.cli.main(['verify', '--format', 'json']); "
+        "sys.stdout = sys.__stdout__; "
+        f"print(status, sorted(m for m in {heavy!r} if m in sys.modules))"
     )
     child = subprocess.run(
         [sys.executable, "-S", "-c", code, str(SRC.parent)],
@@ -54,7 +55,7 @@ def test_start_up_imports_no_heavy_standard_modules():
         check=True,
         timeout=60,
     )
-    assert child.stdout.strip() == "[]"
+    assert child.stdout.strip() == "0 []"
 
 
 def _is_int_literal(node: ast.expr) -> bool:
