@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import operator
 import os
-import re
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, prod
 
@@ -246,24 +244,23 @@ def _family_support(weights: Weights, degree: int) -> frozenset[Monomial]:
 
 def anticanonical_cube(record: FamilyRecord) -> Fraction:
     """Anticanonical self-intersection ``index^3 * degree / prod(weights)``."""
+    from fractions import Fraction
+
     return Fraction(record.index**3 * record.degree, prod(record.weights))
 
 
 # ---------------------------------------------------------------------------
 # parsing of the embedded data files
 
-_MONO_RE = re.compile(r"x([0-4])(?:\^([0-9]+))?")
-_INT_RE = re.compile(r"-?[0-9]+")
-
 
 def parse_ambient_monomial(text: str) -> Monomial:
     """Parse ``"x2^7*x0"`` into the exponent vector ``(1, 0, 7, 0, 0)``."""
     exps = [0] * 5
     for factor in text.split("*"):
-        m = _MONO_RE.fullmatch(factor.strip())
-        if m is None:
+        variable, caret, exponent = factor.strip().partition("^")
+        if variable not in AMBIENT_VARIABLES or caret and not _digits(exponent):
             raise CatalogError(f"bad monomial factor {factor!r} in {text!r}")
-        exps[int(m.group(1))] += int(m.group(2) or 1)
+        exps[AMBIENT_VARIABLES.index(variable)] += int(exponent) if caret else 1
     return tuple(exps)
 
 
@@ -274,9 +271,14 @@ def monomial_str(monomial: Monomial, names: tuple[str, ...] = AMBIENT_VARIABLES)
     return text or "1"
 
 
+def _digits(text: str) -> bool:
+    """``text`` is one or more ASCII digits (``str.isdigit`` alone takes ``²``)."""
+    return text.isascii() and text.isdigit()
+
+
 def _int(text: str) -> int:
     """A recorded integer: ASCII digits with an optional leading ``-``."""
-    if _INT_RE.fullmatch(text) is None:
+    if not _digits(text[1:] if text.startswith("-") else text):
         raise ValueError(f"not an integer: {text!r}")
     return int(text)
 
@@ -354,7 +356,7 @@ def _exclusion_row(site, tangent, count, ltype, keys, blowup, corrected, verdict
         tangent=tangent,
         count=_int(count),
         local_type=_ints(ltype, 3),  # type: ignore[arg-type]
-        keys=tuple((text, parse_ambient_monomial(text)) for text in re.split("[|+]", keys)),
+        keys=tuple((t, parse_ambient_monomial(t)) for t in keys.replace("|", "+").split("+")),
         blowup=blowup,
         corrected_blowup=blowup if corrected == "=" else corrected,
         verdict=verdict,

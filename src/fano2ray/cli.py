@@ -14,9 +14,7 @@ through argparse, which is imported only then, with unchanged output.
 
 from __future__ import annotations
 
-import json
 import sys
-from fractions import Fraction
 
 from . import exclusion, linkengine
 from ._records import Record
@@ -425,6 +423,8 @@ def _render_markdown(report: dict) -> str:
 def serialize(report: dict, fmt: str) -> str:
     """Render a report dict as markdown or as a JSON document."""
     if fmt == "json":
+        import json
+
         return json.dumps(report, indent=2, sort_keys=True)
     return _render_markdown(report)
 

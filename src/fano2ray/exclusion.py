@@ -10,14 +10,13 @@ anywhere; all report values are :class:`fractions.Fraction`.
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 from math import prod
 
 from ._records import Record
 from .catalog import FamilyRecord, Weights, anticanonical_cube, load_catalog
 
-SMOOTH_POINT_THRESHOLD = Fraction(4)
-CURVE_THRESHOLD = Fraction(1)
+SMOOTH_POINT_THRESHOLD = 4
+CURVE_THRESHOLD = 1
 
 _BASE_LOCUS_NOTE = (
     "assumes the members through the point cut a zero-dimensional base locus "
@@ -58,6 +57,8 @@ def smooth_point_test(record: FamilyRecord, h_degree: int | None = None) -> Excl
     must be an integer (``operator.index``): a float or a string raises
     :class:`TypeError`.
     """
+    from fractions import Fraction
+
     h = default_h_degree(record) if h_degree is None else operator.index(h_degree)
     if h < 1:
         raise ValueError("cutting degree must be positive")
@@ -70,7 +71,7 @@ def smooth_point_test(record: FamilyRecord, h_degree: int | None = None) -> Excl
         kind="smooth_point",
         family=record.id,
         test_value=value,
-        threshold=SMOOTH_POINT_THRESHOLD,
+        threshold=Fraction(SMOOTH_POINT_THRESHOLD),
         certified=certified,
         h_degree=h,
         notes=notes,
@@ -79,12 +80,14 @@ def smooth_point_test(record: FamilyRecord, h_degree: int | None = None) -> Excl
 
 def curve_test(record: FamilyRecord) -> ExclusionReport:
     """Anticanonical cube against 1 (curves in the smooth locus)."""
+    from fractions import Fraction
+
     value = anticanonical_cube(record)
     return ExclusionReport(
         kind="curve",
         family=record.id,
         test_value=value,
-        threshold=CURVE_THRESHOLD,
+        threshold=Fraction(CURVE_THRESHOLD),
         certified=value <= CURVE_THRESHOLD,
     )
 

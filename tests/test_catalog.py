@@ -476,6 +476,51 @@ def test_bad_expectation_value_names_file_and_line(
     assert capsys.readouterr().err == f"error: {where}{message}\n"
 
 
+# recorded text is read with str methods; these patterns are the grammar it
+# is checked against: a sign, an underscore, a non-ASCII digit or a
+# superscript is not a digit, and a key factor is one variable and an
+# optional exponent
+_NEAR_TEXT = st.text("0123456789-+_^*x\u0663\u00b2 ", max_size=12)
+
+
+@given(st.one_of(_NEAR_TEXT, st.from_regex(r"-?[0-9]{1,4}", fullmatch=True)))
+@example("+3")
+@example("1_0")
+@example("\u0663")
+@example("\u00b2")
+@example("-")
+@example("")
+def test_int_accepts_exactly_the_integer_pattern(text):
+    if re.fullmatch(r"-?[0-9]+", text) is None:
+        with pytest.raises(ValueError, match=re.escape(f"not an integer: {text!r}")):
+            catalog._int(text)
+    else:
+        assert catalog._int(text) == int(text)
+
+
+_FACTOR = st.one_of(_NEAR_TEXT, st.from_regex(r" ?x[0-4](\^[0-9]{1,3})? ?", fullmatch=True))
+
+
+@given(st.lists(_FACTOR, min_size=1, max_size=4).map("*".join))
+@example("x5")
+@example("x02")
+@example("x2^")
+@example("x2^3^4")
+@example("x2^\u00b2")
+@example("")
+def test_parse_ambient_monomial_accepts_exactly_the_factor_pattern(text):
+    exps = [0] * 5
+    for factor in text.split("*"):
+        m = re.fullmatch(r"x([0-4])(?:\^([0-9]+))?", factor.strip())
+        if m is None:
+            message = f"bad monomial factor {factor!r} in {text!r}"
+            with pytest.raises(CatalogError, match=re.escape(message)):
+                parse_ambient_monomial(text)
+            return
+        exps[int(m.group(1))] += int(m.group(2) or 1)
+    assert parse_ambient_monomial(text) == tuple(exps)
+
+
 def test_catalog_weights_are_well_formed():
     for r in load_catalog():
         assert well_form_weights(r.weights) == r.weights

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fano2ray.catalog import family, load_catalog
+from fano2ray.catalog import anticanonical_cube, family, load_catalog
 from fano2ray.exclusion import (
     curve_test,
     default_h_degree,
@@ -70,6 +70,15 @@ def test_smooth_point_monotone_certification(h):
     rec = family(110)
     assert smooth_point_test(rec, 15).certified
     assert smooth_point_test(rec, h).certified
+
+
+def test_report_values_are_exact_fractions():
+    # the thresholds are the int constants 4 and 1; a report and the cube
+    # still carry Fractions, whatever the value
+    for record in load_catalog():
+        for rep in (smooth_point_test(record), curve_test(record)):
+            assert type(rep.test_value) is Fraction and type(rep.threshold) is Fraction
+        assert type(anticanonical_cube(record)) is Fraction
 
 
 def test_curve_examples():

@@ -58,6 +58,40 @@ def test_start_up_imports_no_heavy_standard_modules():
     assert child.stdout.strip() == "0 []"
 
 
+def test_start_up_defers_re_fractions_and_json():
+    # library calls and a markdown game build no Fraction, no JSON document
+    # and parse no text with a pattern, so a fresh interpreter reaches none
+    # of these; a JSON exclude report then imports fractions and json itself
+    deferred = ("re", "enum", "fractions", "decimal", "numbers", "json")
+    code = "\n".join(
+        [
+            "import io, sys",
+            "sys.path.insert(0, sys.argv[1])",
+            "import fano2ray, fano2ray.cli",
+            "from fano2ray import family, load_catalog, monomial_support, run_game, singular_locus",
+            "load_catalog()",
+            "record = family(110)",
+            "monomial_support(record.weights, record.degree)",
+            "entry = singular_locus(record)[0]",
+            "run_game(record, entry, entry.tangent_candidates[0][1])",
+            "sys.stdout = io.StringIO()",
+            "game = fano2ray.cli.main(['game', '110', '--point', 'p2'])",
+            f"loaded = sorted(m for m in {deferred!r} if m in sys.modules)",
+            "exclude = fano2ray.cli.main(['exclude', '100', '--format', 'json'])",
+            "sys.stdout = sys.__stdout__",
+            "print(game, loaded, exclude, 'fractions' in sys.modules, 'json' in sys.modules)",
+        ]
+    )
+    child = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(SRC.parent)],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert child.stdout.strip() == "0 [] 0 True True"
+
+
 def _is_int_literal(node: ast.expr) -> bool:
     if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
         return bool(node.elts) and all(map(_is_int_literal, node.elts))
