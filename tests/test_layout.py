@@ -92,6 +92,43 @@ def test_start_up_defers_re_fractions_and_json():
     assert child.stdout.strip() == "0 [] 0 True True"
 
 
+def test_start_up_compiles_no_source_string():
+    # collections.namedtuple compiles each class's __new__ from a string
+    # (filename "<string>"); the records are built from bytecode instead.
+    # A module compiled from its file fires "compile" with its own path
+    code = "\n".join(
+        [
+            "import functools, collections, sys",
+            "sys.path.insert(0, sys.argv[1])",
+            "compiled = []",
+            "sys.addaudithook(lambda event, args: event == 'compile' and compiled.append(args[1]))",
+            "import fano2ray.cli",
+            "from fano2ray import load_catalog",
+            "load_catalog()",
+            "print(compiled.count('<string>'))",
+        ]
+    )
+    child = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(SRC.parent)],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert child.stdout.strip() == "0"
+
+
+def test_no_module_compiles_source():
+    # no eval, exec or compile of a string, and no namedtuple, which does so
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name in ("eval", "exec", "compile", "namedtuple"):
+                offenders.append(f"{path.name}:{node.lineno}: {name}")
+    assert offenders == []
+
+
 def _is_int_literal(node: ast.expr) -> bool:
     if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
         return bool(node.elts) and all(map(_is_int_literal, node.elts))

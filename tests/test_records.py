@@ -12,7 +12,7 @@ from typing import NamedTuple
 import pytest
 
 from fano2ray import catalog, cli, exclusion, linkengine, singular, toric2ray
-from fano2ray._records import Record
+from fano2ray._records import _NEW, Record
 from fano2ray.catalog import family
 from fano2ray.exclusion import curve_test, fibration_witness, solidity_summary
 from fano2ray.linkengine import run_game, verify_tables
@@ -69,6 +69,15 @@ CASES["Vertex"] = locate(family(100), "p3").site
 CASES["Stratum"] = locate(family(100), "p2p4").site
 
 
+#: Every class built by ``Record``, private ones included.
+RECORD_CLASSES = {
+    obj
+    for mod in MODULES
+    for obj in vars(mod).values()
+    if isinstance(obj, type) and obj.__module__ == mod.__name__ and "_fields" in vars(obj)
+}
+
+
 def test_every_public_record_type_is_covered():
     assert set(RECORDS) == _public_record_types()
 
@@ -90,7 +99,7 @@ def test_records_refuse_field_assignment(obj):
 def test_record_classes_are_their_annotated_fields_and_docstring():
     # every class written `class X(Record)` has the annotated names of its
     # body as fields, in source order, and its docstring as __doc__; and no
-    # namedtuple class of the package is built another way
+    # record class of the package is built another way
     built = set()
     for mod in MODULES:
         tree = ast.parse(inspect.getsource(mod))
@@ -112,13 +121,7 @@ def test_record_classes_are_their_annotated_fields_and_docstring():
             else:
                 assert inspect.cleandoc(cls.__doc__) == docstring, node.name
             built.add(cls)
-    namedtuples = {
-        obj
-        for mod in MODULES
-        for obj in vars(mod).values()
-        if isinstance(obj, type) and obj.__module__ == mod.__name__ and "_fields" in vars(obj)
-    }
-    assert namedtuples == built
+    assert RECORD_CLASSES == built
 
 
 #: One class body, built once on ``typing.NamedTuple`` and once on ``Record``
@@ -209,3 +212,80 @@ def test_a_field_without_default_after_a_default_is_refused(base):
         class Bad(base):
             first: int = 0
             second: int
+
+
+@pytest.mark.parametrize("base", [NamedTuple, Record], ids=["typing", "record"])
+def test_a_field_starting_with_an_underscore_is_refused(base):
+    with pytest.raises(ValueError, match="underscore: '_private'"):
+
+        class Bad(base):
+            first: int
+            _private: int
+
+
+def test_a_record_with_more_fields_than_constructors_is_refused():
+    limit = len(_NEW) - 1
+    assert limit == max(len(cls._fields) for cls in RECORD_CLASSES)
+    fields = {f"f{i}": int for i in range(limit + 1)}
+    with pytest.raises(TypeError, match=f"more than the {limit} allowed"):
+        types.new_class("Wide", (Record,), exec_body=lambda ns: ns.update(__annotations__=fields))
+
+
+def _typed_twin(cls: type) -> type:
+    """The ``typing.NamedTuple`` class of the record ``cls`` is built on:
+    the same name, fields and defaults."""
+    record = next(base for base in cls.__mro__ if "_fields" in vars(base))
+    body = {
+        "__module__": __name__,
+        "__annotations__": dict.fromkeys(record._fields, object),
+        **record._field_defaults,
+    }
+    return types.new_class(record.__name__, (NamedTuple,), exec_body=lambda ns: ns.update(body))
+
+
+def _unannotated(signature: inspect.Signature) -> inspect.Signature:
+    # typing.NamedTuple annotates __new__ with the field types; namedtuple does not
+    parameters = [p.replace(annotation=p.empty) for p in signature.parameters.values()]
+    return signature.replace(parameters=parameters)
+
+
+def _outcome(call) -> tuple[type, str] | None:
+    try:
+        call()
+    except Exception as error:  # the error itself is compared
+        return type(error), str(error)
+    return None
+
+
+def _class_surface(cls: type) -> list:
+    """What a caller sees of a record class: its constructor, its fields and
+    the errors of bad calls (``_make`` of a longer and a shorter sequence,
+    ``_replace`` of an unknown field, an unexpected keyword, no argument)."""
+    values = tuple(range(len(cls._fields)))
+    return [
+        _unannotated(inspect.signature(cls.__new__)),
+        cls.__new__.__defaults__,
+        cls.__new__.__doc__,
+        cls.__new__.__qualname__,
+        cls.__match_args__,
+        cls.__slots__,
+        hasattr(cls, "__replace__"),
+        [(type(d), d.__doc__) for d in (inspect.getattr_static(cls, f) for f in cls._fields)],
+        _outcome(lambda: cls._make(values + (None,))),
+        _outcome(lambda: cls._make(values[1:])),
+        _outcome(lambda: cls(*values)._replace(no_such_field=1)),
+        _outcome(lambda: cls(*values, no_such_field=1)),
+        _outcome(lambda: cls()),
+    ]
+
+
+#: Each record class, public record type and test class, by name, with the
+#: ``typing.NamedTuple`` class it is compared with.
+TWINS = {cls.__name__: (cls, _typed_twin(cls)) for cls in RECORD_CLASSES | set(RECORDS)}
+TWINS |= {name: (getattr(PLAIN, name), getattr(TYPED, name)) for name in ("Point", "CachedPoint")}
+
+
+@pytest.mark.parametrize("name", TWINS)
+def test_record_class_surface_matches_typing_namedtuple(name):
+    plain, typed = TWINS[name]
+    assert _class_surface(plain) == _class_surface(typed)
