@@ -17,9 +17,10 @@ descriptors.
 
 import sys
 from _collections import _tuplegetter
-from types import FunctionType
 
 _tuple_new = tuple.__new__
+#: ``types.FunctionType``, without importing :mod:`types`
+FunctionType = type(lambda: None)
 #: ``namedtuple`` from Python 3.13: ``__replace__`` serves ``copy.replace``,
 #: and ``_replace`` of an unknown field raises ``TypeError``, not ``ValueError``.
 _PY313 = sys.version_info >= (3, 13)

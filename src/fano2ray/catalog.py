@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import operator
 import os
-from functools import lru_cache
 from math import gcd, prod
 
 from ._records import Record
@@ -122,8 +121,9 @@ def monomial_support(weights: Weights, degree: int) -> frozenset[Monomial]:
     is a solution only when ``g = gcd(w2, least)`` divides ``r``, and then
     ``e`` runs over one residue class modulo ``least // g`` and ``f`` is
     forced, so every vector built is kept.  Each call builds a new set, and
-    only :meth:`FamilyRecord.support` caches one: a candidate's, a stratum's
-    or a wall's support is dropped as soon as its caller is done with it.
+    only a loaded catalog's families keep theirs (:meth:`FamilyRecord.support`):
+    a candidate's, a stratum's or a wall's support is dropped as soon as its
+    caller is done with it.
 
     Inputs must be integers (``operator.index``): a float or a string raises
     :class:`TypeError`, a non-positive weight :class:`ValueError`.  The empty
@@ -227,19 +227,20 @@ class FamilyRecord(Record):
         return fano_index(self.weights, self.degree)
 
     def support(self) -> frozenset[Monomial]:
-        return _family_support(self.weights, self.degree)
+        """The monomial support, the stored one for a family of a loaded catalog."""
+        support = _FAMILY_SUPPORTS.get((self.weights, self.degree))
+        return monomial_support(self.weights, self.degree) if support is None else support
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         ws = ",".join(map(str, self.weights))
         return f"FamilyRecord({self.id}: X_{self.degree} in P({ws}))"
 
 
-# ``blowup_weights`` and ``build_model`` read a family's support in every game;
-# ``_validate`` fills this cache with the 35 families at load.
-# ``monomial_support`` is looked up per call, so tracing counts every build.
-@lru_cache(maxsize=128)
-def _family_support(weights: Weights, degree: int) -> frozenset[Monomial]:
-    return monomial_support(weights, degree)
+#: The family supports of every loaded catalog, by ``(weights, degree)``:
+#: ``blowup_weights`` and ``build_model`` read one in every game.  Any other
+#: record builds its support per call, by ``monomial_support`` looked up per
+#: call, so tracing counts every build.
+_FAMILY_SUPPORTS: dict[tuple[Weights, int], frozenset[Monomial]] = {}
 
 
 def anticanonical_cube(record: FamilyRecord) -> Fraction:
@@ -371,7 +372,7 @@ def _matrix_row(point, stage, labels, row1, row2):
     return MatrixExpectation(point=point, stage=stage, columns=tuple(zip(labels, rows)))
 
 
-def _validate(records: tuple[FamilyRecord, ...]) -> None:
+def _validate(records: tuple[FamilyRecord, ...], supports: dict) -> None:
     if len(records) != 35:
         raise CatalogError(f"expected 35 families, found {len(records)}")
     if [r.id for r in records] != list(range(96, 131)):
@@ -381,7 +382,7 @@ def _validate(records: tuple[FamilyRecord, ...]) -> None:
             raise CatalogError(f"family {r.id}: weights not nondecreasing")
         if well_form_weights(r.weights) != r.weights:
             raise CatalogError(f"family {r.id}: ambient weights not well-formed")
-        if not r.support():
+        if not supports[r.weights, r.degree]:
             raise CatalogError(f"family {r.id}: empty monomial support")
 
 
@@ -406,8 +407,8 @@ def _family_row(fam, weights, degree, rational, h) -> FamilyRecord:
     )
 
 
-@lru_cache(maxsize=None)
 def _load_catalog(data_dir: str) -> tuple[FamilyRecord, ...]:
+    """Parse and validate the catalog in ``data_dir``, then store its supports."""
     families = _read_rows(data_dir, "families.txt", 5, _family_row)
     ids = {r.id for r in families}
     links = _expectations(data_dir, "link_targets.txt", 7, _link_row, ids)
@@ -423,13 +424,24 @@ def _load_catalog(data_dir: str) -> tuple[FamilyRecord, ...]:
         )
         for r in sorted(families, key=lambda r: r.id)
     )
-    _validate(records)
+    supports = {(r.weights, r.degree): monomial_support(r.weights, r.degree) for r in records}
+    _validate(records, supports)
+    _FAMILY_SUPPORTS.update(supports)
     return records
 
 
+#: ``load_catalog``'s records, by data directory.
+_CATALOGS: dict[str, tuple[FamilyRecord, ...]] = {}
+
+
 def load_catalog() -> tuple[FamilyRecord, ...]:
-    """All 35 records, validated against the structural invariants."""
-    return _load_catalog(_data_dir())
+    """All 35 records, validated against the structural invariants: parsed
+    once per data directory, the same tuple on every later call."""
+    data_dir = _data_dir()
+    records = _CATALOGS.get(data_dir)
+    if records is None:
+        records = _CATALOGS[data_dir] = _load_catalog(data_dir)
+    return records
 
 
 def family(family_id: int) -> FamilyRecord:

@@ -32,7 +32,6 @@ made) are private to this module; other modules use the functions here.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm
 from operator import itemgetter, mul
@@ -124,10 +123,13 @@ class RankTwoModel(_ModelFields):
     def column_map(self) -> dict[str, Vec]:
         return dict(self.columns)
 
-    @cached_property
+    @property
     def walls(self) -> tuple[tuple[_Wall, ...], dict[str, int]]:
         """The ray directions in column order, parallel columns grouped into
-        one wall, and the wall index of every label."""
+        one wall, and the wall index of every label; computed once per model."""
+        cached = self.__dict__.get("walls")
+        if cached is not None:
+            return cached
         groups: list[tuple[Vec, list[str]]] = []
         for lab, v in self.columns:
             p = _primitive(v)
@@ -136,7 +138,9 @@ class RankTwoModel(_ModelFields):
             else:
                 groups.append((p, [lab]))
         walls = tuple(_Wall(direction=d, labels=tuple(labs)) for d, labs in groups)
-        return walls, {lab: gi for gi, w in enumerate(walls) for lab in w.labels}
+        index_of = {lab: gi for gi, w in enumerate(walls) for lab in w.labels}
+        self.__dict__["walls"] = cached = walls, index_of
+        return cached
 
 
 # ---------------------------------------------------------------------------

@@ -232,25 +232,36 @@ def test_family_rejects_non_integer_ids():
     assert family(100).id == 100
 
 
-def test_family_support_cache_is_filled_at_load():
-    # an uncached load validates fresh records, which reads every family support
-    catalog._family_support.cache_clear()
-    records = catalog._load_catalog.__wrapped__(catalog._data_dir())
-    info = catalog._family_support.cache_info()
-    assert (info.currsize, info.misses, info.hits) == (35, 35, 0)
+def test_family_support_cache_is_filled_at_load(monkeypatch):
+    # an uncached load stores the support of every family, and only those
+    monkeypatch.setattr(catalog, "_FAMILY_SUPPORTS", {})
+    records = catalog._load_catalog(catalog._data_dir())
+    stored = catalog._FAMILY_SUPPORTS
+    assert len(stored) == 35
+    assert set(stored) == {(rec.weights, rec.degree) for rec in records}
     for rec in records:
-        assert rec.support() is rec.support()
+        assert rec.support() is rec.support() is stored[rec.weights, rec.degree]
         assert rec.support() == monomial_support(rec.weights, rec.degree)
-    info = catalog._family_support.cache_info()
-    assert (info.currsize, info.misses, info.hits) == (35, 35, 3 * 35)
 
 
-def test_candidate_supports_bypass_the_family_cache():
+class _CountingStore(dict):
+    """A support store that counts its lookups."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+def test_candidate_supports_bypass_the_family_cache(monkeypatch):
     # the scan workload's traffic: a candidate's support is built, read once
     # and dropped, and its singular locus reads no family support
     rng = random.Random(17)
     load_catalog()
-    before = catalog._family_support.cache_info()
+    store = _CountingStore(catalog._FAMILY_SUPPORTS)
+    monkeypatch.setattr(catalog, "_FAMILY_SUPPORTS", store)
+    before = list(store.items())
     for _ in range(1000):
         weights = tuple(sorted(rng.randint(1, 20) for _ in range(5)))
         degree = sum(weights) - rng.randint(2, 20)
@@ -268,14 +279,14 @@ def test_candidate_supports_bypass_the_family_cache():
             singular_locus(record)
         except (NotTerminal, UnresolvedTangent):
             pass
-    assert catalog._family_support.cache_info() == before
+    assert (store.lookups, list(store.items())) == (0, before)
 
 
 def test_family_support_cache_is_bounded():
-    bound = catalog._family_support.cache_info().maxsize
-    assert bound is not None
-    catalog._family_support.cache_clear()
-    for weight in range(1, 2 * bound + 1):
+    # a record outside every loaded catalog gets a fresh support, never stored
+    load_catalog()
+    size = len(catalog._FAMILY_SUPPORTS)
+    for weight in range(1, 257):
         record = catalog.FamilyRecord(
             id=0,
             weights=(1, 2, 3, 5, weight + 1),
@@ -284,7 +295,19 @@ def test_family_support_cache_is_bounded():
             expected=catalog.FamilyExpectations(),
         )
         assert record.support() == {(1, 0, 0, 0, 0)}
-    assert catalog._family_support.cache_info().currsize <= bound
+        assert record.support() is not record.support()
+    assert len(catalog._FAMILY_SUPPORTS) == size
+
+
+def test_load_catalog_is_parsed_once_per_data_directory(tmp_path, monkeypatch):
+    records = load_catalog()
+    assert load_catalog() is records
+    data = tmp_path / "data"
+    shutil.copytree(Path(fano2ray.__file__).parent / "data", data)
+    monkeypatch.setenv("FANO2RAY_DATA", str(data))
+    copied = load_catalog()
+    assert copied is not records and copied == records
+    assert load_catalog() is copied
 
 
 def test_well_form_weights_examples():

@@ -59,10 +59,21 @@ def test_start_up_imports_no_heavy_standard_modules():
 
 
 def test_start_up_defers_re_fractions_and_json():
-    # library calls and a markdown game build no Fraction, no JSON document
-    # and parse no text with a pattern, so a fresh interpreter reaches none
-    # of these; a JSON exclude report then imports fractions and json itself
-    deferred = ("re", "enum", "fractions", "decimal", "numbers", "json")
+    # library calls and the markdown game, catalog and analyze build no
+    # Fraction, no JSON document, parse no text with a pattern and use no
+    # functools cache, so a fresh interpreter reaches none of these; a JSON
+    # exclude report then imports fractions and json itself
+    deferred = (
+        "re",
+        "enum",
+        "fractions",
+        "decimal",
+        "numbers",
+        "json",
+        "functools",
+        "collections",
+        "types",
+    )
     code = "\n".join(
         [
             "import io, sys",
@@ -76,10 +87,13 @@ def test_start_up_defers_re_fractions_and_json():
             "run_game(record, entry, entry.tangent_candidates[0][1])",
             "sys.stdout = io.StringIO()",
             "game = fano2ray.cli.main(['game', '110', '--point', 'p2'])",
+            "listing = fano2ray.cli.main(['catalog'])",
+            "analysis = fano2ray.cli.main(['analyze', '110'])",
             f"loaded = sorted(m for m in {deferred!r} if m in sys.modules)",
             "exclude = fano2ray.cli.main(['exclude', '100', '--format', 'json'])",
             "sys.stdout = sys.__stdout__",
-            "print(game, loaded, exclude, 'fractions' in sys.modules, 'json' in sys.modules)",
+            "print(game, listing, analysis, loaded, exclude, 'fractions' in sys.modules,"
+            " 'json' in sys.modules)",
         ]
     )
     child = subprocess.run(
@@ -89,16 +103,18 @@ def test_start_up_defers_re_fractions_and_json():
         check=True,
         timeout=60,
     )
-    assert child.stdout.strip() == "0 [] 0 True True"
+    assert child.stdout.strip() == "0 0 0 [] 0 True True"
 
 
 def test_start_up_compiles_no_source_string():
     # collections.namedtuple compiles each class's __new__ from a string
-    # (filename "<string>"); the records are built from bytecode instead.
-    # A module compiled from its file fires "compile" with its own path
+    # (filename "<string>"), and so does functools for the namedtuple of
+    # lru_cache's cache_info; the records are built from bytecode instead,
+    # and no module imports functools.  A module compiled from its file
+    # fires "compile" with its own path
     code = "\n".join(
         [
-            "import functools, collections, sys",
+            "import sys",
             "sys.path.insert(0, sys.argv[1])",
             "compiled = []",
             "sys.addaudithook(lambda event, args: event == 'compile' and compiled.append(args[1]))",
@@ -126,6 +142,26 @@ def test_no_module_compiles_source():
             name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
             if name in ("eval", "exec", "compile", "namedtuple"):
                 offenders.append(f"{path.name}:{node.lineno}: {name}")
+    assert offenders == []
+
+
+def test_no_module_imports_functools_collections_or_types():
+    # functools imports the other two: 2-4 ms of a start-up that needs none,
+    # even from inside a function; the package memoises in plain dicts
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            offenders += [
+                f"{path.name}:{node.lineno}: {name}"
+                for name in names
+                if name.partition(".")[0] in ("functools", "collections", "types")
+            ]
     assert offenders == []
 
 

@@ -242,6 +242,22 @@ def test_restrict_walk_110_p2_unprojected(raw110p2):
     assert set(steps[2].witnesses) == {"u*y", "y2*y"}
 
 
+def test_walls_are_computed_once_per_model():
+    # a model keeps its walls; well-forming and unprojecting build new
+    # models, which compute their own rather than reading the source's
+    raw = model_for(110, "p2", "x0")
+    assert raw.walls is raw.walls
+    wf = well_form_model(raw)
+    unprojected = unproject(wf, needs_unprojection(wf))
+    for model in (wf, unprojected):
+        groups, index_of = model.walls
+        assert model.walls is not raw.walls and model.walls is model.walls
+        assert [lab for wall in groups for lab in wall.labels] == list(model.labels)
+        for lab, v in model.columns:
+            assert det2(groups[index_of[lab]].direction, v) == 0
+    assert "y" in unprojected.walls[1] and "y" not in raw.walls[1]
+
+
 def test_divisorial_target_examples(raw100, raw110p4, raw110p2):
     t100 = divisorial_target(well_form_model(raw100), "y2")
     assert (t100.weights, t100.degrees) == ((1, 1, 1, 3, 5), (10,))
