@@ -189,10 +189,7 @@ def _exclude_report(command: Command) -> tuple[int, dict]:
 
 
 def _verify_report(command: Command) -> tuple[int, dict]:
-    try:
-        report = linkengine.verify_tables()
-    except linkengine.VerificationFailure as err:
-        report = err.report
+    report = linkengine.verify_tables()
     out = {
         "verb": "verify",
         "catalog": {"count": report.catalog_count, "index_mismatches": []},

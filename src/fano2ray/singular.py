@@ -17,7 +17,7 @@ from itertools import filterfalse
 from math import gcd
 
 from ._records import Record
-from .catalog import FamilyRecord, Monomial, Weights, monomial_support
+from .catalog import AMBIENT_VARIABLES, FamilyRecord, Monomial, Weights, monomial_support
 
 _UNITS = ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1))
 
@@ -261,21 +261,6 @@ class BlowupData(Record):
     excluded: frozenset[Monomial]
 
 
-def _variable_index(tangent: int | str) -> int:
-    if isinstance(tangent, str):
-        index = tangent[1:]
-        # one spelling per variable (x0, never x00), so a game names its
-        # tangent the same way however it was asked for
-        if (
-            tangent[:1] != "x"
-            or not (index.isascii() and index.isdecimal())
-            or (index[0] == "0" and index != "0")
-        ):
-            raise ValueError(f"bad variable name {tangent!r}")
-        return int(index)
-    return operator.index(tangent)
-
-
 def center_completion(
     weights: Weights, degree: int, center: int, monomial: Monomial
 ) -> Monomial | None:
@@ -300,8 +285,9 @@ def blowup_weights(
     the weights, and each cost is one dot product with the dense weight
     vector, whose center and tangent entries are still 0.  At the site's
     first tangent candidate, the one its normal form was taken with, the
-    site's ``singularity`` is reused.  ``tangent`` is a name ``"x<i>"`` or an
-    integer (``operator.index``: a float raises :class:`TypeError`).  A site
+    site's ``singularity`` is reused.  ``tangent`` is one of the names
+    :data:`~fano2ray.catalog.AMBIENT_VARIABLES` or an integer
+    (``operator.index``: a float raises :class:`TypeError`).  A site
     without a center raises :class:`UnresolvedTangent` before the tangent is
     read.
     """
@@ -311,7 +297,11 @@ def blowup_weights(
             f"{entry.site.label} of family {record.id}: neither stratum weight "
             "divides the other, so no graded centering exists"
         )
-    tangent = _variable_index(tangent)
+    if isinstance(tangent, str):
+        if tangent not in AMBIENT_VARIABLES:
+            raise ValueError(f"bad variable name {tangent!r}")
+        tangent = AMBIENT_VARIABLES.index(tangent)
+    tangent = operator.index(tangent)
     if tangent not in {t for _, t in entry.tangent_candidates}:
         raise UnresolvedTangent(
             f"x{tangent} is not a tangent candidate at {entry.site.label} "

@@ -16,7 +16,7 @@ import fano2ray
 from expected import hand_written_parser
 from fano2ray.cli import Command, _read_plain, build_parser, main, run, serialize
 from fano2ray import singular
-from fano2ray.linkengine import VerificationFailure, verify_tables
+from fano2ray.linkengine import verify_tables
 from fano2ray.singular import singular_locus
 
 
@@ -349,8 +349,9 @@ def test_main_prints_lookup_errors_unquoted(capsys, argv, message):
     assert captured.err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("tangent", ["x²", "x٣", "x00", "x01"])
+@pytest.mark.parametrize("tangent", ["x²", "x٣", "x00", "x01", "x5", "x12"])
 def test_main_rejects_tangent_names_with_non_ascii_digits(capsys, tangent):
+    # a tangent name is one of x0..x4; x5 and beyond are bad names, not indices
     assert main(["game", "110", "--point", "p2", "--tangent", tangent]) == 1
     assert capsys.readouterr().err == f"error: bad variable name {tangent!r}\n"
 
@@ -390,9 +391,9 @@ def test_verify_reports_a_wrong_recorded_target(
     assert len(doc["failures"]) == 1
     assert doc["failures"][0].startswith(failure)
     # the library gives the same verdict as the CLI
-    with pytest.raises(VerificationFailure) as err:
-        verify_tables()
-    assert err.value.report.failures == doc["failures"]
+    report = verify_tables()
+    assert not report.ok
+    assert report.failures == doc["failures"]
 
 
 @pytest.mark.parametrize(
@@ -421,9 +422,9 @@ def test_verify_reports_a_wrong_recorded_matrix_label(tmp_path, monkeypatch, cap
     assert (doc["matrices"]["matched"], doc["matrices"]["total"]) == (6, 7)
     assert len(doc["failures"]) == 1
     assert doc["failures"][0].startswith("family 100 p3 wellformed: label mismatch")
-    with pytest.raises(VerificationFailure) as err:
-        verify_tables()
-    assert err.value.report.failures == doc["failures"]
+    report = verify_tables()
+    assert not report.ok
+    assert report.failures == doc["failures"]
 
 
 @pytest.mark.parametrize(
@@ -451,9 +452,9 @@ def test_verify_reports_a_recorded_matrix_of_a_missing_stage(tmp_path, monkeypat
     assert (doc["matrices"]["matched"], doc["matrices"]["total"]) == (7, 8)
     stage = row.split()[2]
     assert doc["failures"] == [f"family 100 p3 {stage}: the game has no such model"]
-    with pytest.raises(VerificationFailure) as err:
-        verify_tables()
-    assert err.value.report.failures == doc["failures"]
+    report = verify_tables()
+    assert not report.ok
+    assert report.failures == doc["failures"]
 
 
 @pytest.mark.parametrize(
@@ -499,9 +500,78 @@ def test_verify_reports_a_wrong_recorded_exclusion(
     doc = json.loads(capsys.readouterr().out)
     assert doc["ok"] is False
     assert doc["failures"] == [failure]
-    with pytest.raises(VerificationFailure) as err:
-        verify_tables()
-    assert err.value.report.failures == doc["failures"]
+    report = verify_tables()
+    assert not report.ok
+    assert report.failures == doc["failures"]
+
+
+@pytest.mark.parametrize(
+    "name,row,edited,failures,section,fields",
+    [
+        (
+            "link_targets.txt",
+            "100 p3 3,1,2 ",
+            "100 p9 3,1,2 ",
+            ["family 100 p9: family 100 has no singular site 'p9'"],
+            "links",
+            {"family": 100, "point": "p9", "computed": None, "unprojected": None},
+        ),
+        (
+            "exclusions.txt",
+            "101 p2 x3 ",
+            "101 p2 x2 ",
+            ["family 101 p2 tangent x2: x2 is not a tangent candidate at p2 of family 101"],
+            "exclusions",
+            {"family": 101, "site": "p2", "tangent": "x2", "count": None, "minus_k": None},
+        ),
+        (
+            "link_targets.txt",
+            "110 p2 1,4,1 cE7/2 1,1,2,2,3,5 6,7 unprojection\n",
+            "110 p2 1,4,1 cE7/2 1,1,2,2,3,5 6,7 unprojection\n"
+            "128 p1p3 1,1,1 cE6 1,1,1,3,5 10 hypersurface\n",
+            [
+                "family 128 p1p3: p1p3 of family 128: neither stratum weight divides the "
+                "other, so no graded centering exists",
+                "families without a fibration witness [100, 101, 102, 103, 110] != "
+                "families with a recorded link [100, 101, 102, 103, 110, 128]",
+            ],
+            "links",
+            {"family": 128, "point": "p1p3", "computed": None, "unprojected": None},
+        ),
+    ],
+    ids=["unknown-site", "not-a-tangent", "site-without-a-center"],
+)
+def test_verify_reports_a_recorded_game_that_cannot_run(
+    tmp_path, monkeypatch, capsys, name, row, edited, failures, section, fields
+):
+    # a row whose game cannot run is a failure row like any other: verify
+    # prints its whole document, in both formats, and nothing on stderr
+    data = tmp_path / "data"
+    shutil.copytree(Path(fano2ray.__file__).parent / "data", data)
+    table = data / name
+    text = table.read_text(encoding="utf-8")
+    assert text.count(row) == 1
+    table.write_text(text.replace(row, edited), encoding="utf-8")
+    monkeypatch.setenv("FANO2RAY_DATA", str(data))
+
+    assert main(["verify", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    doc = json.loads(captured.out)
+    assert doc["ok"] is False
+    assert doc["failures"] == failures
+    failed = [r for r in doc[section]["rows"] if not r["matched"]]
+    assert len(failed) == 1 and failed[0].items() >= fields.items()
+    assert doc[section]["total"] - doc[section]["matched"] == 1
+
+    assert main(["verify"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    bullets = "".join(f"- {f}\n" for f in failures)
+    assert captured.out.endswith(f"\n## failures\n{bullets}\nFAILED\n")
+    report = verify_tables()
+    assert not report.ok
+    assert report.failures == failures
 
 
 def test_verify_markdown_sections():

@@ -9,10 +9,12 @@ the same order, read off the ``GameTrace``: the columns and equation
 bidegrees of the raw, well-formed, raw-grading unprojected (``-`` when the
 game needs no unprojection) and game models.  ``verbs.txt`` has the
 ``catalog`` document, then the ``analyze`` and the ``exclude`` documents of
-every family, one compact sorted-key JSON line each.  Regenerate with
+every family, one compact sorted-key JSON line each.  ``markdown.md`` has
+the markdown documents of the same ``catalog``, ``analyze`` and ``exclude``
+commands and then of every game, separated by blank lines.  Regenerate with
 ``PYTHONPATH=src python tests/test_golden_games.py games > tests/golden/games.txt``
-(or ``models > tests/golden/models.txt``, ``verbs > tests/golden/verbs.txt``)
-when a change to the outputs is intended.
+(or ``models > tests/golden/models.txt``, ``verbs > tests/golden/verbs.txt``,
+``markdown > tests/golden/markdown.md``) when a change to the outputs is intended.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import sys
 from pathlib import Path
 
 from fano2ray.catalog import load_catalog
-from fano2ray.cli import Command, run
+from fano2ray.cli import Command, run, serialize
 from fano2ray.linkengine import run_game
 from fano2ray.singular import singular_locus
 
@@ -60,14 +62,13 @@ def _games():
                 yield record, entry, tangent
 
 
-def games_table() -> str:
-    lines = []
+def _game_commands():
     for record, entry, tangent in _games():
-        command = Command(
-            verb="game", family=record.id, point=entry.site.label, tangent=f"x{tangent}"
-        )
-        _, report = run(command)
-        lines.append(game_line(report))
+        yield Command(verb="game", family=record.id, point=entry.site.label, tangent=f"x{tangent}")
+
+
+def games_table() -> str:
+    lines = [game_line(run(command)[1]) for command in _game_commands()]
     return "\n".join(lines) + "\n"
 
 
@@ -89,12 +90,21 @@ def models_table() -> str:
     return "\n".join(lines) + "\n"
 
 
-def verbs_table() -> str:
-    commands = [Command(verb="catalog")]
+def _verb_commands():
+    yield Command(verb="catalog")
     for verb in ("analyze", "exclude"):
-        commands += [Command(verb=verb, family=record.id) for record in load_catalog()]
-    lines = [json.dumps(run(command)[1], sort_keys=True) for command in commands]
+        for record in load_catalog():
+            yield Command(verb=verb, family=record.id)
+
+
+def verbs_table() -> str:
+    lines = [json.dumps(run(command)[1], sort_keys=True) for command in _verb_commands()]
     return "\n".join(lines) + "\n"
+
+
+def markdown_table() -> str:
+    commands = (*_verb_commands(), *_game_commands())
+    return "\n".join(serialize(run(command)[1], "markdown") for command in commands)
 
 
 def test_every_game_matches_golden():
@@ -115,6 +125,17 @@ def test_every_other_verb_matches_golden():
     assert table.encode("utf-8") == (GOLDEN / "verbs.txt").read_bytes()
 
 
+def test_every_markdown_document_matches_golden():
+    table = markdown_table()
+    assert table.count("\n\n# ") == 1 + 2 * 35 + 87 - 1
+    assert table.encode("utf-8") == (GOLDEN / "markdown.md").read_bytes()
+
+
 if __name__ == "__main__":
-    tables = {"games": games_table, "models": models_table, "verbs": verbs_table}
+    tables = {
+        "games": games_table,
+        "models": models_table,
+        "verbs": verbs_table,
+        "markdown": markdown_table,
+    }
     sys.stdout.write(tables[sys.argv[1]]())
