@@ -209,22 +209,29 @@ class FamilyExpectations(Record):
 
 
 class FamilyRecord(Record):
-    """One catalog entry: ``X_degree`` in ``P(weights)`` plus expectation data.
-
-    ``h_degree`` is the recorded cutting degree of the smooth-point test, or
-    ``None`` where the test uses its rule ``a1*a2*a3``.
+    """``X_degree`` in ``P(weights)``: ``FamilyRecord(weights=w, degree=d)`` is
+    all the geometric core reads.  A catalog entry adds its ``id``, recorded
+    ``rational`` and ``expected`` data, and ``h_degree``, the recorded cutting
+    degree of the smooth-point test (``None``: the rule ``a1*a2*a3``).
     """
 
-    id: int
     weights: Weights
     degree: int
-    rational: bool
-    expected: FamilyExpectations
+    id: int | None = None
+    rational: bool | None = None
+    expected: FamilyExpectations = FamilyExpectations()
     h_degree: int | None = None
 
     @property
     def index(self) -> int:
         return fano_index(self.weights, self.degree)
+
+    @property
+    def name(self) -> str:
+        """``family <id>`` for a catalog entry, else ``X_d ⊂ P(a0,...,a4)``."""
+        if self.id is None:
+            return f"X_{self.degree} ⊂ P({','.join(map(str, self.weights))})"
+        return f"family {self.id}"
 
     def support(self) -> frozenset[Monomial]:
         """The monomial support, the stored one for a family of a loaded catalog."""
@@ -232,8 +239,7 @@ class FamilyRecord(Record):
         return monomial_support(self.weights, self.degree) if support is None else support
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        ws = ",".join(map(str, self.weights))
-        return f"FamilyRecord({self.id}: X_{self.degree} in P({ws}))"
+        return f"FamilyRecord({self.name})"
 
 
 #: The family supports of every loaded catalog, by ``(weights, degree)``:

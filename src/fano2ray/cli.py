@@ -132,6 +132,8 @@ def _game_report(command: Command) -> tuple[int, dict]:
             raise ValueError(f"{command.point} has several tangent candidates; pass --tangent")
         tangent = f"x{entry.tangent_candidates[0][1]}"
     trace, outcome = linkengine.run_game(record, entry, tangent)
+    # the recorded singularity label of a link from this point, if any
+    label = next((e.label for e in record.expected.links if e.point == entry.site.label), None)
     return 0, {
         "verb": "game",
         "family": record.id,
@@ -148,7 +150,7 @@ def _game_report(command: Command) -> tuple[int, dict]:
         "position": outcome.position,
         "outcome": {
             "kind": outcome.kind,
-            "target": _end_model(outcome.model, label=outcome.label),
+            "target": _end_model(outcome.model, label=label),
             "warnings": list(outcome.warnings),
         },
     }
@@ -386,7 +388,7 @@ def _render_markdown(report: dict) -> str:
         lines += _md_table(
             ["no.", "singularity", "new model", "matched"],
             [
-                [r["family"], f"{r['point']} ({r['label']})", r["computed"], r["matched"]]
+                [r["family"], f"{r['point']} ({r['label']})", r["computed"] or "-", r["matched"]]
                 for r in report["links"]["rows"]
             ],
         )
@@ -395,7 +397,7 @@ def _render_markdown(report: dict) -> str:
         lines += _md_table(
             ["no.", "site", "tangent", "verdict", "matched"],
             [
-                [r["family"], r["site"], r["tangent"], r["computed_verdict"], r["matched"]]
+                [r["family"], r["site"], r["tangent"], r["computed_verdict"] or "-", r["matched"]]
                 for r in report["exclusions"]["rows"]
             ],
         )
@@ -404,7 +406,7 @@ def _render_markdown(report: dict) -> str:
         lines += _md_table(
             ["kind", "family", "site", "recorded", "derived"],
             [
-                [d["kind"], d["family"] if d["family"] else "-", d["site"], d["recorded"], d["derived"]]
+                [d["kind"], d["family"] or "-", d["site"], d["recorded"], d["derived"]]
                 for d in report["deviations"]
             ],
         )

@@ -24,10 +24,6 @@ _BASE_LOCUS_NOTE = (
 )
 
 
-class InvariantBreach(RuntimeError):
-    """An internally guaranteed inequality failed; indicates corrupt data."""
-
-
 class ExclusionReport(Record):
     """Outcome of one numerical test, certified iff value <= threshold."""
 
@@ -121,13 +117,9 @@ def fibration_witness(record: FamilyRecord) -> FibrationWitness | None:
         pencil = f"x1^{a[0]} = lambda * x0^{a[1]}"
     else:
         kind, ambient, degrees, pencil = "hypersurface", a[1:], (record.degree,), None
-    # adjunction: the fibre's canonical class has the degree sum(degrees) - sum(ambient)
+    # adjunction: the fibre's canonical class has the degree sum(degrees) - sum(ambient),
+    # a0*a1 - index, or 1 - index when a0 = 1: both negative, as 1 <= a0*a1 < index
     canonical_degree = sum(degrees) - sum(ambient)
-    if canonical_degree >= 0:
-        raise InvariantBreach(
-            f"family {record.id}: index check passed but the fibre canonical "
-            f"degree is {canonical_degree}"
-        )
     return FibrationWitness(
         family=record.id,
         target=(a[0], a[1]),

@@ -10,8 +10,9 @@ outside: no link).  The returned :class:`GameTrace` carries every stage.
 There is one end-model value, the walk's own
 :class:`~fano2ray.toric2ray.DivisorialTarget`: an elementary link's
 ``LinkOutcome.model`` is ``GameTrace.final_target``, checked against the
-Fano adjunction bound ``sum(degrees) < sum(weights)``, and the recorded
-singularity label of the link, if any, is ``LinkOutcome.label``.
+Fano adjunction bound ``sum(degrees) < sum(weights)``.  ``run_game`` reads
+no recorded value, so ``FamilyRecord(weights=w, degree=d)`` runs as a catalog
+row does; the ``game`` verb attaches a link's recorded label where it prints.
 
 ``verify_tables`` runs each recorded (family, site, tangent) game once and
 reads every checked value off its trace.  It compares typed expectations:
@@ -64,17 +65,16 @@ class LinkOutcome(Record):
     """Verdict of one game; an elementary link always carries its Fano model.
 
     ``kind`` is ``elementary_link``, ``bad_link`` or ``no_link`` for every
-    game of the classified families; games run on other catalog families can
+    game of the classified families; games run on other families can
     additionally end in a ``fibration`` (interior anticanonical class but a
     multi-ray final boundary instead of a divisorial contraction).  An
     elementary link's ``model`` is the walk's final target (the same object
-    as ``GameTrace.final_target``) and its ``label`` the singularity label
-    recorded for a link from that point, if any; both are ``None`` otherwise.
+    as ``GameTrace.final_target``), ``None`` otherwise.  No recorded value
+    (such as a link's singularity label) is part of it.
     """
 
     kind: str
     model: DivisorialTarget | None
-    label: str | None
     minus_k: Vec
     position: str
     warnings: tuple[str, ...] = ()
@@ -131,7 +131,7 @@ def run_game(
             "some wall crossings are indeterminate; the verdict rests on the "
             "anticanonical position alone"
         )
-    model = label = None
+    model = None
     if position == "interior":
         if trace.final_target:
             kind = "elementary_link"
@@ -140,8 +140,6 @@ def run_game(
                 raise ValueError(
                     f"Z_{model.degrees} in P{model.weights} fails the Fano adjunction bound"
                 )
-            point = entry.site.label
-            label = next((e.label for e in record.expected.links if e.point == point), None)
         else:
             # the walk ran off a multi-ray boundary instead of contracting a
             # divisor; the 2-ray game ends in a fibration, not a Fano model
@@ -157,7 +155,6 @@ def run_game(
     return trace, LinkOutcome(
         kind=kind,
         model=model,
-        label=label,
         minus_k=mk,
         position=position,
         warnings=tuple(warnings),

@@ -150,7 +150,7 @@ def _vertex_entry(record: FamilyRecord, i: int) -> SingularLocusEntry | None:
         keys.append((mono, j))
     if not keys:
         raise UnresolvedTangent(
-            f"family {record.id}: vertex p{i} lies on the member but the support "
+            f"{record.name}: vertex p{i} lies on the member but the support "
             f"has no monomial x{i}^k*x_j"
         )
     sing = normalize_terminal(r, *_transverse(w, (i, keys[0][1])))
@@ -168,7 +168,7 @@ def _stratum_entry(record: FamilyRecord, i: int, j: int) -> SingularLocusEntry |
     restricted = monomial_support((w[i], w[j]), d)
     if not restricted:
         raise NotTerminal(
-            f"family {record.id}: stratum p{i}p{j} is contained in the member "
+            f"{record.name}: stratum p{i}p{j} is contained in the member "
             "(one-dimensional singular locus, unsupported)"
         )
     count = len(restricted) - 1
@@ -185,7 +185,7 @@ def _stratum_entry(record: FamilyRecord, i: int, j: int) -> SingularLocusEntry |
         if d - w[tangent] <= 0:
             # the key would be a bare x_t: the member is a linear cone
             raise UnresolvedTangent(
-                f"family {record.id}: stratum p{i}p{j} lies on the member but the "
+                f"{record.name}: stratum p{i}p{j} lies on the member but the "
                 f"support has no monomial x{center}^k*x{tangent} with k >= 1"
             )
         k = (d - w[tangent]) // w[center]
@@ -228,7 +228,7 @@ def locate(record: FamilyRecord, label: str) -> SingularLocusEntry:
     for entry in singular_locus(record):
         if entry.site.label == label:
             return entry
-    raise KeyError(f"family {record.id} has no singular site {label!r}")
+    raise KeyError(f"{record.name} has no singular site {label!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +294,7 @@ def blowup_weights(
     c = entry.center
     if c is None:
         raise UnresolvedTangent(
-            f"{entry.site.label} of family {record.id}: neither stratum weight "
+            f"{entry.site.label} of {record.name}: neither stratum weight "
             "divides the other, so no graded centering exists"
         )
     if isinstance(tangent, str):
@@ -305,7 +305,7 @@ def blowup_weights(
     if tangent not in {t for _, t in entry.tangent_candidates}:
         raise UnresolvedTangent(
             f"x{tangent} is not a tangent candidate at {entry.site.label} "
-            f"of family {record.id}"
+            f"of {record.name}"
         )
     w, d = record.weights, record.degree
     sing = entry.singularity
@@ -325,13 +325,13 @@ def blowup_weights(
     ]
     if not costs:
         raise UnresolvedTangent(
-            f"family {record.id}: no support monomial avoids the tangent x{tangent}"
+            f"{record.name}: no support monomial avoids the tangent x{tangent}"
         )
     b_t = min(costs)
     if b_t % r != (m * w[tangent]) % r:
         raise NotTerminal(
             f"tangent weight {b_t} breaks the congruence mod {r} at "
-            f"{entry.site.label} of family {record.id}"
+            f"{entry.site.label} of {record.name}"
         )
     b[tangent] = b_t
     return BlowupData(

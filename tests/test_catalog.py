@@ -268,13 +268,7 @@ def test_candidate_supports_bypass_the_family_cache(monkeypatch):
         if degree < 1:
             continue
         monomial_support(weights, degree)
-        record = catalog.FamilyRecord(
-            id=0,
-            weights=weights,
-            degree=degree,
-            rational=False,
-            expected=catalog.FamilyExpectations(),
-        )
+        record = catalog.FamilyRecord(weights=weights, degree=degree)
         try:
             singular_locus(record)
         except (NotTerminal, UnresolvedTangent):
@@ -287,13 +281,7 @@ def test_family_support_cache_is_bounded():
     load_catalog()
     size = len(catalog._FAMILY_SUPPORTS)
     for weight in range(1, 257):
-        record = catalog.FamilyRecord(
-            id=0,
-            weights=(1, 2, 3, 5, weight + 1),
-            degree=1,
-            rational=False,
-            expected=catalog.FamilyExpectations(),
-        )
+        record = catalog.FamilyRecord(weights=(1, 2, 3, 5, weight + 1), degree=1)
         assert record.support() == {(1, 0, 0, 0, 0)}
         assert record.support() is not record.support()
     assert len(catalog._FAMILY_SUPPORTS) == size

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import fano2ray
 from expected import hand_written_parser
+from fano2ray.catalog import load_catalog
 from fano2ray.cli import Command, _read_plain, build_parser, main, run, serialize
 from fano2ray import singular
 from fano2ray.linkengine import verify_tables
@@ -102,6 +103,32 @@ def test_game_tangent_inferred_when_unique():
     status, report = run(Command(verb="game", family=110, point="p4"))
     assert status == 0
     assert report["tangent"] == "x2"
+
+
+def test_game_report_labels_exactly_the_recorded_links():
+    # run_game returns no recorded value: the game verb attaches a link's
+    # recorded singularity label, and of the 55 elementary links of the 87
+    # games exactly the six recorded ones carry one
+    recorded = {
+        (rec.id, exp.point): exp.label for rec in load_catalog() for exp in rec.expected.links
+    }
+    games, labels = 0, {}
+    for rec in load_catalog():
+        for entry in singular_locus(rec):
+            for _, t in entry.tangent_candidates:
+                point = entry.site.label
+                command = Command(verb="game", family=rec.id, point=point, tangent=f"x{t}")
+                status, report = run(command)
+                assert status == 0
+                games += 1
+                target = report["outcome"]["target"]
+                assert (target is not None) == (report["outcome"]["kind"] == "elementary_link")
+                if target is not None:
+                    labels[rec.id, point, t] = target["label"]
+    assert (games, len(labels)) == (87, 55)
+    labelled = [((fid, point), label) for (fid, point, _), label in labels.items() if label]
+    assert len(labelled) == len(recorded) == 6
+    assert dict(labelled) == recorded
 
 
 @pytest.mark.parametrize("tangent", ["x2", None])
@@ -506,7 +533,7 @@ def test_verify_reports_a_wrong_recorded_exclusion(
 
 
 @pytest.mark.parametrize(
-    "name,row,edited,failures,section,fields",
+    "name,row,edited,failures,section,fields,markdown_row",
     [
         (
             "link_targets.txt",
@@ -515,6 +542,7 @@ def test_verify_reports_a_wrong_recorded_exclusion(
             ["family 100 p9: family 100 has no singular site 'p9'"],
             "links",
             {"family": 100, "point": "p9", "computed": None, "unprojected": None},
+            "| 100 | p9 (cE6) | - | False |",
         ),
         (
             "exclusions.txt",
@@ -523,6 +551,7 @@ def test_verify_reports_a_wrong_recorded_exclusion(
             ["family 101 p2 tangent x2: x2 is not a tangent candidate at p2 of family 101"],
             "exclusions",
             {"family": 101, "site": "p2", "tangent": "x2", "count": None, "minus_k": None},
+            "| 101 | p2 | x2 | - | False |",
         ),
         (
             "link_targets.txt",
@@ -537,12 +566,13 @@ def test_verify_reports_a_wrong_recorded_exclusion(
             ],
             "links",
             {"family": 128, "point": "p1p3", "computed": None, "unprojected": None},
+            "| 128 | p1p3 (cE6) | - | False |",
         ),
     ],
     ids=["unknown-site", "not-a-tangent", "site-without-a-center"],
 )
 def test_verify_reports_a_recorded_game_that_cannot_run(
-    tmp_path, monkeypatch, capsys, name, row, edited, failures, section, fields
+    tmp_path, monkeypatch, capsys, name, row, edited, failures, section, fields, markdown_row
 ):
     # a row whose game cannot run is a failure row like any other: verify
     # prints its whole document, in both formats, and nothing on stderr
@@ -569,6 +599,9 @@ def test_verify_reports_a_recorded_game_that_cannot_run(
     assert captured.err == ""
     bullets = "".join(f"- {f}\n" for f in failures)
     assert captured.out.endswith(f"\n## failures\n{bullets}\nFAILED\n")
+    # a null computed field prints as "-", as every missing value does
+    assert "| None |" not in captured.out
+    assert f"\n{markdown_row}\n" in captured.out
     report = verify_tables()
     assert not report.ok
     assert report.failures == failures

@@ -186,6 +186,30 @@ def test_no_module_compares_a_record_id_with_an_integer_literal():
     assert offenders == []
 
 
+def test_the_geometric_core_reads_no_recorded_data():
+    # singular_locus, blowup_weights, build_model and run_game read the
+    # hypersurface only: a recorded field in a message or a verdict would make
+    # FamilyRecord(weights=w, degree=d) a second-class input
+    recorded = {"id", "expected", "rational", "h_degree"}
+    linkengine = ast.parse((SRC / "linkengine.py").read_text(encoding="utf-8"))
+    scopes = {
+        "singular.py": ast.parse((SRC / "singular.py").read_text(encoding="utf-8")),
+        "toric2ray.py": ast.parse((SRC / "toric2ray.py").read_text(encoding="utf-8")),
+        "linkengine.run_game": next(
+            node
+            for node in linkengine.body
+            if isinstance(node, ast.FunctionDef) and node.name == "run_game"
+        ),
+    }
+    offenders = [
+        f"{scope}:{node.lineno}: {ast.unparse(node)}"
+        for scope, tree in scopes.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in recorded
+    ]
+    assert offenders == []
+
+
 def _defined_names(tree: ast.Module) -> set[str]:
     names = set()
     for node in tree.body:

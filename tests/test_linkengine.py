@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from fano2ray import cli, exclusion, linkengine
-from fano2ray.catalog import MATRIX_STAGES, family, load_catalog
+from fano2ray.catalog import MATRIX_STAGES, FamilyRecord, family, load_catalog
 from fano2ray.linkengine import GameTrace, run_game, verify_tables
 from fano2ray.singular import blowup_weights, locate, singular_locus
 from fano2ray.toric2ray import (
@@ -84,7 +84,6 @@ def test_run_game_100_distinguished():
     assert outcome.kind == "elementary_link"
     assert outcome.model.weights == (1, 1, 1, 3, 5)
     assert outcome.model.degrees == (10,)
-    assert outcome.label == "cE6"
     assert outcome.position == "interior"
     assert not trace.unprojected
 
@@ -107,7 +106,6 @@ def test_run_game_110_p4():
     assert values(flip.restricted_weights) == (5, 1, -3, -2)
     assert outcome.model.weights == (1, 1, 1, 2, 3)
     assert outcome.model.degrees == (7,)
-    assert outcome.label == "cE7"
 
 
 def test_run_game_101_third_point_bad_link():
@@ -190,14 +188,8 @@ def test_fano_model_adjunction_guard(monkeypatch):
 
 
 def test_elementary_links_satisfy_adjunction():
-    # every elementary link of the 87 games; only the six recorded
-    # (family, point) links carry a label
-    recorded = {
-        (rec.id, exp.point): exp.label
-        for rec in load_catalog()
-        for exp in rec.expected.links
-    }
-    labels = []
+    # every elementary link of the 87 games
+    links = 0
     for rec in load_catalog():
         for entry in singular_locus(rec):
             for _, tangent in entry.tangent_candidates:
@@ -206,11 +198,23 @@ def test_elementary_links_satisfy_adjunction():
                     continue
                 assert sum(outcome.model.degrees) < sum(outcome.model.weights)
                 assert outcome.model is trace.final_target
-                label = outcome.label
-                assert label == recorded.get((rec.id, entry.site.label))
-                labels.append(label)
-    assert len(labels) == 55
-    assert sum(label is not None for label in labels) == len(recorded) == 6
+                links += 1
+    assert links == 55
+
+
+def test_games_of_a_bare_hypersurface_equal_the_catalog_games():
+    # the core reads no catalog field: every game run from the weights and
+    # the degree alone equals, trace and outcome, the game of the catalog row
+    games = 0
+    for rec in load_catalog():
+        bare = FamilyRecord(weights=rec.weights, degree=rec.degree)
+        entries = singular_locus(bare)
+        assert entries == singular_locus(rec)
+        for entry in entries:
+            for _, tangent in entry.tangent_candidates:
+                assert run_game(bare, entry, tangent) == run_game(rec, entry, tangent)
+                games += 1
+    assert games == 87
 
 
 def test_verify_tables_matches_everything():

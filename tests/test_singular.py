@@ -7,7 +7,6 @@ import pytest
 
 from fano2ray import singular
 from fano2ray.catalog import (
-    FamilyExpectations,
     FamilyRecord,
     family,
     load_catalog,
@@ -189,11 +188,18 @@ def test_stratum_restricted_support_100():
 def test_stratum_without_a_key_of_positive_center_power_is_unresolved():
     # X_2 in P(1,1,1,2,2) is a linear cone: on p3p4 the only monomial x3^k*x4
     # has k = 0, and a bare x4 used to be taken as the key of a game
-    record = FamilyRecord(
-        id=0, weights=(1, 1, 1, 2, 2), degree=2, rational=False, expected=FamilyExpectations()
-    )
-    with pytest.raises(UnresolvedTangent, match="family 0: stratum p3p4 .* k >= 1"):
+    record = FamilyRecord(weights=(1, 1, 1, 2, 2), degree=2)
+    with pytest.raises(UnresolvedTangent, match=r"^X_2 ⊂ P\(1,1,1,2,2\): stratum p3p4 .* k >= 1"):
         singular_locus(record)
+
+
+def test_a_hypersurface_outside_the_catalog_is_named_by_its_equation():
+    record = FamilyRecord(weights=(1, 1, 1, 1, 2), degree=5)
+    assert record.id is None and record.name == "X_5 ⊂ P(1,1,1,1,2)"
+    assert family(100).name == "family 100"
+    with pytest.raises(KeyError) as err:
+        locate(record, "p9")
+    assert err.value.args == ("X_5 ⊂ P(1,1,1,1,2) has no singular site 'p9'",)
 
 
 def test_singular_locus_103_three_tangents():

@@ -6,10 +6,10 @@ from math import gcd
 from operator import itemgetter, mul
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fano2ray.catalog import FamilyExpectations, FamilyRecord, family, load_catalog
+from fano2ray.catalog import FamilyRecord, family, load_catalog
 from fano2ray.linkengine import run_game
 from fano2ray.singular import blowup_weights, locate, singular_locus
 from fano2ray.toric2ray import (
@@ -545,10 +545,7 @@ def _all_games(records):
 
 
 def _index_one_records():
-    return [
-        FamilyRecord(id=0, weights=w, degree=d, rational=False, expected=FamilyExpectations())
-        for w, d in INDEX_ONE
-    ]
+    return [FamilyRecord(weights=w, degree=d) for w, d in INDEX_ONE]
 
 
 @pytest.mark.parametrize("catalog", ["index2", "index1"])
@@ -754,3 +751,47 @@ def test_packed_degrees_match_the_reference_loop_for_any_sign_of_b():
     degree = sum("is not of degree" in m for m in messages)
     assert congruence + degree == len(messages)
     assert min(congruence, degree) > 50
+
+
+def _site_signatures(record, order=tuple(range(5))):
+    """Every game of ``record`` up to the order of its variables, keyed by
+    site: variable ``k`` of ``record`` is variable ``order[k]`` of the
+    reference.  A stratum is keyed by its site, not by (site, tangent): at an
+    equal-weight stratum the order picks which variable is the centre."""
+    signatures = {}
+    for entry in singular_locus(record):
+        games = []
+        for _, tangent in entry.tangent_candidates:
+            trace, outcome = run_game(record, entry, tangent)
+            steps = tuple(
+                (
+                    s.ambient_kind,
+                    s.restricted_kind,
+                    sorted(w for _, w in s.ambient_weights),
+                    sorted(w for _, w in s.restricted_weights or ()),
+                    len(s.witnesses),
+                )
+                for s in trace.steps
+            )
+            blowup = sorted(trace.blowup.b)
+            games.append((outcome.kind, outcome.position, trace.unprojected, blowup, steps))
+        site = tuple(sorted(order[v] for v in entry.site.variables))
+        signatures[site] = (entry.count, entry.singularity.r, sorted(games))
+    return signatures
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        st.integers(96, 130).map(lambda fid: (family(fid).weights, family(fid).degree)),
+        st.sampled_from(INDEX_ONE),
+    ),
+    st.permutations(range(5)),
+)
+def test_games_do_not_depend_on_the_order_of_the_variables(hypersurface, order):
+    # 100 sampled (family, order) pairs over the 35 and the 11 index-1
+    # families; the weights of variable k are those of variable order[k]
+    weights, degree = hypersurface
+    permuted = FamilyRecord(weights=tuple(weights[v] for v in order), degree=degree)
+    reference = _site_signatures(FamilyRecord(weights=weights, degree=degree))
+    assert _site_signatures(permuted, order) == reference
