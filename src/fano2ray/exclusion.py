@@ -28,7 +28,6 @@ class ExclusionReport(Record):
     """Outcome of one numerical test, certified iff value <= threshold."""
 
     kind: str  # "smooth_point" | "curve"
-    family: int
     test_value: Fraction
     threshold: Fraction
     certified: bool
@@ -65,7 +64,6 @@ def smooth_point_test(record: FamilyRecord, h_degree: int | None = None) -> Excl
         notes += (f"test value {value} exceeds 4: no exclusion at h={h}",)
     return ExclusionReport(
         kind="smooth_point",
-        family=record.id,
         test_value=value,
         threshold=Fraction(SMOOTH_POINT_THRESHOLD),
         certified=certified,
@@ -81,7 +79,6 @@ def curve_test(record: FamilyRecord) -> ExclusionReport:
     value = anticanonical_cube(record)
     return ExclusionReport(
         kind="curve",
-        family=record.id,
         test_value=value,
         threshold=Fraction(CURVE_THRESHOLD),
         certified=value <= CURVE_THRESHOLD,
@@ -98,7 +95,6 @@ class FibrationWitness(Record):
     such pencil member selected by an opaque parameter.
     """
 
-    family: int
     target: tuple[int, int]
     kind: str  # "hypersurface" | "complete_intersection"
     ambient: Weights
@@ -121,7 +117,6 @@ def fibration_witness(record: FamilyRecord) -> FibrationWitness | None:
     # a0*a1 - index, or 1 - index when a0 = 1: both negative, as 1 <= a0*a1 < index
     canonical_degree = sum(degrees) - sum(ambient)
     return FibrationWitness(
-        family=record.id,
         target=(a[0], a[1]),
         kind=kind,
         ambient=ambient,

@@ -461,11 +461,12 @@ def verify_tables() -> Report:
     report.links_confirmed = witness_less == linked and all(
         row["matched"] for row in report.link_rows
     )
-    for rep in (smooth_point_test(r) for r in records if r.id in witness_less):
+    for record in (r for r in records if r.id in witness_less):
+        rep = smooth_point_test(record)
         if not rep.certified:
             report.add_deviation(
                 "smooth_point_bound",
-                rep.family,
+                record.id,
                 "smooth point",
                 "claimed contradiction 2 > a0",
                 f"test value {rep.test_value} exceeds 4 at h={rep.h_degree}; "

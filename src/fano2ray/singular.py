@@ -143,11 +143,10 @@ def _vertex_entry(record: FamilyRecord, i: int) -> SingularLocusEntry | None:
         # the pure power x_i^(d/r) lies in the support: vertex off the member
         return None
     keys = []
-    for j in range(5):
-        if j == i or d - w[j] <= 0 or (d - w[j]) % r != 0:
-            continue
-        mono = tuple((d - w[j]) // r if l == i else (1 if l == j else 0) for l in range(5))
-        keys.append((mono, j))
+    for j, unit in enumerate(_UNITS):
+        key = None if j == i else center_completion(w, d, i, unit)
+        if key is not None and key[i]:
+            keys.append((key, j))
     if not keys:
         raise UnresolvedTangent(
             f"{record.name}: vertex p{i} lies on the member but the support "
@@ -182,14 +181,15 @@ def _stratum_entry(record: FamilyRecord, i: int, j: int) -> SingularLocusEntry |
         center, tangent = None, None
     candidates: tuple[tuple[Monomial, int], ...] = ()
     if center is not None:
-        if d - w[tangent] <= 0:
-            # the key would be a bare x_t: the member is a linear cone
+        # w_c divides w_t and, as the restricted support is nonempty, d: so
+        # the completion exists unless d < w_t, and at d = w_t it is a bare
+        # x_t (the member is a linear cone)
+        key = center_completion(w, d, center, _UNITS[tangent])
+        if key is None or not key[center]:
             raise UnresolvedTangent(
                 f"{record.name}: stratum p{i}p{j} lies on the member but the "
                 f"support has no monomial x{center}^k*x{tangent} with k >= 1"
             )
-        k = (d - w[tangent]) // w[center]
-        key = tuple(k if l == center else (1 if l == tangent else 0) for l in range(5))
         candidates = ((key, tangent),)
     return SingularLocusEntry(
         site=Site((i, j)),

@@ -1,4 +1,5 @@
-"""Values the tests expect of the bundled catalog, readers the tests share
+"""Values the tests expect of the bundled catalog, eleven families of index
+one outside it, readers the tests share
 for model fields, the change of grading the invariance tests apply, and the
 command-line parser written out by hand."""
 
@@ -8,6 +9,21 @@ from fano2ray.toric2ray import LatticeError, RankTwoModel, TransformedEquation
 
 #: Families with no fibration witness; conjecturally the solid ones.
 SOLID_CANDIDATES = frozenset({100, 101, 102, 103, 110})
+
+#: Eleven of the 95 families of Fano index 1, as literal weights and degree.
+INDEX_ONE = [
+    ((1, 1, 1, 1, 2), 5),
+    ((1, 1, 1, 2, 3), 7),
+    ((1, 1, 1, 3, 4), 9),
+    ((1, 1, 2, 3, 3), 9),
+    ((1, 1, 2, 3, 5), 11),
+    ((1, 1, 2, 5, 7), 15),
+    ((1, 1, 3, 4, 7), 15),
+    ((1, 1, 4, 5, 6), 16),
+    ((1, 2, 3, 5, 7), 17),
+    ((1, 3, 4, 5, 7), 19),
+    ((1, 1, 3, 7, 10), 21),
+]
 
 
 def rows(model):

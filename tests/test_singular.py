@@ -24,6 +24,8 @@ from fano2ray.singular import (
     singular_locus,
 )
 
+from expected import INDEX_ONE
+
 
 def assert_normal_form(r, weights, m, per_var):
     # defining property: m*w mod r hits a unit and a complementary pair
@@ -357,6 +359,18 @@ def test_center_completion_matches_a_scan_of_center_powers():
                         bigger = m[:j] + (m[j] + 1,) + m[j + 1 :]
                         assert center_completion(w, d, c, bigger) is None
     assert outcomes[True] and outcomes[False]
+    # every tangent candidate x_c^k*x_t is the completion of x_t with k >= 1
+    index_one = [FamilyRecord(weights=w, degree=d) for w, d in INDEX_ONE]
+    keys = 0
+    for rec in [*load_catalog(), *index_one]:
+        for entry in singular_locus(rec):
+            c = entry.center
+            for key, t in entry.tangent_candidates:
+                unit = tuple(int(l == t) for l in range(5))
+                assert key == center_completion(rec.weights, rec.degree, c, unit)
+                assert key[c] >= 1
+                keys += 1
+    assert keys
 
 
 @pytest.mark.parametrize("fid", [128, 130])

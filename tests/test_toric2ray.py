@@ -36,22 +36,7 @@ from fano2ray.toric2ray import (
     well_form_model,
 )
 
-from expected import regrade, rows, values
-
-#: Eleven of the 95 families of Fano index 1, as literal weights and degree.
-INDEX_ONE = [
-    ((1, 1, 1, 1, 2), 5),
-    ((1, 1, 1, 2, 3), 7),
-    ((1, 1, 1, 3, 4), 9),
-    ((1, 1, 2, 3, 3), 9),
-    ((1, 1, 2, 3, 5), 11),
-    ((1, 1, 2, 5, 7), 15),
-    ((1, 1, 3, 4, 7), 15),
-    ((1, 1, 4, 5, 6), 16),
-    ((1, 2, 3, 5, 7), 17),
-    ((1, 3, 4, 5, 7), 19),
-    ((1, 1, 3, 7, 10), 21),
-]
+from expected import INDEX_ONE, regrade, rows, values
 
 
 def model_for(fid, point, tangent):
