@@ -14,8 +14,9 @@ Fano adjunction bound ``sum(degrees) < sum(weights)``.  ``run_game`` reads
 no recorded value, so ``FamilyRecord(weights=w, degree=d)`` runs as a catalog
 row does; the ``game`` verb attaches a link's recorded label where it prints.
 
-``verify_tables`` runs each recorded (family, site, tangent) game once and
-reads every checked value off its trace.  It compares typed expectations:
+``verify_tables`` computes each recorded family's singular locus once, runs
+each recorded (family, site, tangent) game once and reads every checked
+value off its trace.  It compares typed expectations:
 :mod:`fano2ray.catalog` reads and checks every recorded value as it loads,
 so the replay parses no recorded text.  It confirms the computed end models,
 verdicts and weight matrices and reports every known discrepancy
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 from ._records import Record
 from .catalog import (
+    AMBIENT_VARIABLES,
     MATRIX_STAGES,
     FamilyRecord,
     load_catalog,
@@ -39,7 +41,14 @@ from .catalog import (
     weighted_degree,
 )
 from .exclusion import SoliditySummary, smooth_point_test, solidity_summary
-from .singular import BlowupData, SingularLocusEntry, blowup_weights, center_completion, locate
+from .singular import (
+    BlowupData,
+    SingularLocusEntry,
+    blowup_weights,
+    center_completion,
+    locate,
+    singular_locus,
+)
 from .toric2ray import (
     DivisorialTarget,
     LatticeError,
@@ -216,28 +225,43 @@ def _quotient_type(r: int, weights) -> str:
     return "1/%d(%s)" % (r, ",".join(map(str, weights)))
 
 
-def _replay_game(
-    games: dict, report: Report, name: str, record: FamilyRecord, point: str, tangent=None
-):
-    """``run_game`` memoised by (family, site, tangent) within one replay;
-    ``tangent=None`` stands for the site's first tangent candidate, the one
-    the link and matrix tables refer to (none at a site without one, where
-    the blow-up raises).  A game that cannot run gives ``None`` and one
-    failure, headed ``name``, for each row that asks for it."""
-    key = (record.id, point, tangent)
+def _memo(games: dict, key, compute, *args):
+    """``compute(*args)`` memoised in ``games`` under ``key``; a call that
+    raises is memoised as the text of its error."""
     if key not in games:
         try:
-            entry = locate(record, point)
-            if tangent is None:
-                tangent = next((t for _, t in entry.tangent_candidates), None)
-            games[key] = run_game(record, entry, tangent)
+            games[key] = compute(*args)
         except (KeyError, ValueError) as err:
             # str() of a KeyError is the repr of its message
             games[key] = err.args[0] if isinstance(err, KeyError) else str(err)
-    if isinstance(games[key], str):
-        report.failures.append(f"{name}: {games[key]}")
-        return None
     return games[key]
+
+
+def _replay_game(
+    games: dict, report: Report, name: str, record: FamilyRecord, point: str, tangent=None
+):
+    """``run_game`` memoised within one replay: each family's singular locus
+    is computed once, and each game once per (family, site, tangent index).
+    ``tangent=None`` stands for the site's first tangent candidate, the one
+    the link and matrix tables refer to (none at a site without one, where
+    the blow-up raises).  A locus or game that cannot be computed gives
+    ``None`` and one failure, headed ``name``, for each row that asks for it."""
+    game = locus = _memo(games, record.id, singular_locus, record)
+    if not isinstance(locus, str):
+        entry = next((e for e in locus if e.site.label == point), None)
+        if entry is None:
+            # locate raises the KeyError that names a site the locus lacks
+            game = _memo(games, (record.id, point), locate, record, point)
+        else:
+            if tangent is None:
+                tangent = next((t for _, t in entry.tangent_candidates), None)
+            else:
+                tangent = AMBIENT_VARIABLES.index(tangent)
+            game = _memo(games, (record.id, point, tangent), run_game, record, entry, tangent)
+    if isinstance(game, str):
+        report.failures.append(f"{name}: {game}")
+        return None
+    return game
 
 
 def _check_keys(record, entry, exp, report: Report) -> None:
@@ -432,7 +456,8 @@ def verify_tables() -> Report:
     with a corrected reference value (known misprints are deviations, not
     failures), when a recorded game cannot run, or when the families without
     a fibration witness are not exactly the families with a recorded link.
-    Every recorded game runs once.  Deterministic and idempotent.
+    Every recorded family's singular locus is computed once and every
+    recorded game runs once.  Deterministic and idempotent.
     """
     records = load_catalog()
     report = Report()

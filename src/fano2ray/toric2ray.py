@@ -73,13 +73,6 @@ def det2(a: Vec, b: Vec) -> int:
     return a[0] * b[1] - a[1] * b[0]
 
 
-def _primitive(v: Vec) -> Vec:
-    g = gcd(v[0], v[1])
-    if g == 0:
-        raise LatticeError("zero ray")
-    return (v[0] // g, v[1] // g)
-
-
 def _factors(m: Mono) -> tuple[tuple[str, int], ...]:
     return tuple((lab, e) for lab, e in zip(MONO_VARIABLES, m) if e)
 
@@ -131,14 +124,17 @@ class RankTwoModel(_ModelFields):
         if cached is not None:
             return cached
         groups: list[tuple[Vec, list[str]]] = []
-        for lab, v in self.columns:
-            p = _primitive(v)
-            if groups and groups[-1][0] == p:
-                groups[-1][1].append(lab)
-            else:
-                groups.append((p, [lab]))
+        index_of: dict[str, int] = {}
+        for lab, (x, y) in self.columns:
+            g = gcd(x, y)
+            if g == 0:
+                raise LatticeError("zero ray")
+            p = (x // g, y // g)
+            if not groups or groups[-1][0] != p:
+                groups.append((p, []))
+            groups[-1][1].append(lab)
+            index_of[lab] = len(groups) - 1
         walls = tuple(_Wall(direction=d, labels=tuple(labs)) for d, labs in groups)
-        index_of = {lab: gi for gi, w in enumerate(walls) for lab in w.labels}
         self.__dict__["walls"] = cached = walls, index_of
         return cached
 
@@ -154,7 +150,7 @@ def _sort_columns(columns) -> tuple[tuple[str, Vec], ...]:
     rays tie, so the stable sort keeps them adjacent in input order."""
     columns = list(columns)
     ref = dict(columns)["u"]
-    dets = [det2(ref, v) for _, v in columns]
+    dets = [ref[0] * y - ref[1] * x for _, (x, y) in columns]
     scale = lcm(*filter(None, dets))
     keys = [
         (1 if d > 0 else 3, -(ref[0] * v[0] + ref[1] * v[1]) * (scale // d))
@@ -216,7 +212,9 @@ def build_model(record: FamilyRecord, blow: BlowupData) -> RankTwoModel:
             if sum(map(mul, m, w)) != degree:
                 raise NonHomogeneous(f"monomial {m} is not of degree {degree}")
     # the least value gets u-exponent 0: the transform is proper by construction
-    support = frozenset(((v - low) // r, *m, 0) for v, m in zip(values, working))
+    support = frozenset(
+        ((v - low) // r, e0, e1, e2, e3, e4, 0) for v, (e0, e1, e2, e3, e4) in zip(values, working)
+    )
     equation = TransformedEquation(support=support, bidegree=(degree, mu))
     center = f"y{blow.center_entry.center}"
     return RankTwoModel(columns=columns, equations=(equation,), center=center)
@@ -368,44 +366,49 @@ class WallStep(Record):
     target: DivisorialTarget | None = None
 
 
+def _interior_walls(model: RankTwoModel) -> list[tuple[int, tuple]]:
+    """The one pass over the interior walls: each wall's group index and the
+    ambient fields of its :class:`WallStep`, in field order.  Every wall is
+    checked before any is returned, so a :class:`DegenerateWall` comes before
+    any wall is restricted."""
+    groups, index_of = model.walls
+    if len(groups) < 3:
+        raise DegenerateWall("fewer than three ray directions: no interior wall")
+    rays = [(lab, v, index_of[lab]) for lab, v in model.columns]
+    walls = []
+    for gi in range(2, len(groups) - 1):
+        wall = groups[gi]
+        wx, wy = wall.direction
+        labels, dets, beyond = [], [], []
+        for lab, (x, y), gj in rays:
+            if gj == gi:
+                continue
+            d = x * wy - y * wx  # det2((x, y), wall.direction)
+            if d == 0:
+                raise DegenerateWall(f"off-wall ray {lab} parallel to wall {wall.labels[0]}")
+            if (d > 0) != (gj < gi):
+                raise DegenerateWall("rays do not span a pointed half-plane around the wall")
+            if gj > gi:
+                beyond.append(lab)
+            labels.append(lab)
+            dets.append(d)
+        g = gcd(*dets)
+        contracted = beyond[0] if len(beyond) == 1 else None
+        kind = "flip" if contracted is None else "contraction"
+        weights = tuple(zip(labels, [d // g for d in dets]))
+        walls.append((gi, (wall.labels[0], wall.labels, kind, weights, contracted)))
+    return walls
+
+
 def ambient_walk(model: RankTwoModel) -> tuple[WallStep, ...]:
     """Classify every interior wall of the anticlockwise walk away from ``u``.
 
     A wall with exactly one ray strictly beyond it is the divisorial
     contraction of that ray's divisor; every other wall is a flip with local
     weights ``det(ray, wall) / gcd``, positive on the pre-crossing side.
+    These are the ambient fields of the steps of :func:`restrict_walk`.
     """
-    groups, index_of = model.walls
-    if len(groups) < 3:
-        raise DegenerateWall("fewer than three ray directions: no interior wall")
-    steps = []
-    for gi in range(2, len(groups) - 1):
-        wall = groups[gi]
-        weights = []
-        beyond = []
-        for lab, v in model.columns:
-            if index_of[lab] == gi:
-                continue
-            d = det2(v, wall.direction)
-            if d == 0:
-                raise DegenerateWall(f"off-wall ray {lab} parallel to wall {wall.labels[0]}")
-            if (d > 0) != (index_of[lab] < gi):
-                raise DegenerateWall("rays do not span a pointed half-plane around the wall")
-            if index_of[lab] > gi:
-                beyond.append(lab)
-            weights.append((lab, d))
-        g = gcd(*(abs(d) for _, d in weights))
-        contraction = len(beyond) == 1
-        steps.append(
-            WallStep(
-                wall=wall.labels[0],
-                wall_variables=wall.labels,
-                ambient_kind="contraction" if contraction else "flip",
-                ambient_weights=tuple((lab, d // g) for lab, d in weights),
-                contracted=beyond[0] if contraction else None,
-            )
-        )
-    return tuple(steps)
+    return tuple(WallStep(*ambient) for _, ambient in _interior_walls(model))
 
 
 def _multiple(v: Vec, d: Vec) -> int | None:
@@ -459,19 +462,15 @@ def restrict_walk(model: RankTwoModel) -> tuple[WallStep, ...]:
     groups, index_of = model.walls
     cols = model.column_map()
     steps = []
-    for step in ambient_walk(model):
-        wall_gi = index_of[step.wall]
-        if step.ambient_kind == "contraction":
-            steps.append(
-                step._replace(
-                    restricted_kind="divisorial", target=divisorial_target(model, step.wall)
-                )
-            )
+    for wall_gi, ambient in _interior_walls(model):
+        _, wall_variables, _, ambient_weights, contracted = ambient
+        if contracted is not None:
+            steps.append(WallStep(*ambient, "divisorial", target=_target(model, contracted)))
             continue
         d = groups[wall_gi].direction
         wall = (
-            tuple(MONO_VARIABLES.index(lab) for lab in step.wall_variables),
-            tuple(_multiple(cols[lab], d) for lab in step.wall_variables),
+            tuple(MONO_VARIABLES.index(lab) for lab in wall_variables),
+            tuple(_multiple(cols[lab], d) for lab in wall_variables),
         )
         iso_witness = None
         for eq in model.equations:
@@ -484,9 +483,7 @@ def restrict_walk(model: RankTwoModel) -> tuple[WallStep, ...]:
                 iso_witness = min(found, key=_factors)
                 break
         if iso_witness is not None:
-            steps.append(
-                step._replace(restricted_kind="iso", witnesses=(mono_str(iso_witness),))
-            )
+            steps.append(WallStep(*ambient, "iso", witnesses=(mono_str(iso_witness),)))
             continue
         eliminated: list[str] = []
         witnesses: list[str] = []
@@ -506,15 +503,11 @@ def restrict_walk(model: RankTwoModel) -> tuple[WallStep, ...]:
             eliminated.append(lab)
             witnesses.append(mono_str(m))
         if eliminated:
-            rest = tuple((lab, v) for lab, v in step.ambient_weights if lab not in eliminated)
+            rest = tuple((lab, v) for lab, v in ambient_weights if lab not in eliminated)
             kind = "flop" if sorted(v for _, v in rest) == [-1, -1, 1, 1] else "flip"
-            steps.append(
-                step._replace(
-                    restricted_kind=kind, restricted_weights=rest, witnesses=tuple(witnesses)
-                )
-            )
+            steps.append(WallStep(*ambient, kind, rest, tuple(witnesses)))
         else:
-            steps.append(step._replace(restricted_kind="indeterminate"))
+            steps.append(WallStep(*ambient, "indeterminate"))
     return tuple(steps)
 
 
@@ -532,20 +525,28 @@ def divisorial_target(model: RankTwoModel, wall: str) -> DivisorialTarget:
     beyond = [lab for lab, _ in model.columns if index_of[lab] > wall_gi]
     if len(beyond) != 1:
         raise DegenerateWall(f"wall {wall} does not contract a unique divisor")
-    v = model.column_map()[beyond[0]]
-    vals = [
-        (lab, abs(det2(col, v))) for lab, col in model.columns if lab != beyond[0]
-    ]
+    return _target(model, beyond[0])
+
+
+def _target(model: RankTwoModel, contracted: str) -> DivisorialTarget:
+    """:func:`divisorial_target` of the contraction of the ray ``contracted``.
+
+    The weights are well-formed exactly when every weight but one is coprime:
+    :func:`~fano2ray.catalog.well_form_weights` then only sorts them, and it
+    runs only to name what they would well-form to (or to reject a zero).
+    """
+    v = model.column_map()[contracted]
+    vals = [abs(det2(col, v)) for lab, col in model.columns if lab != contracted]
     degs = [abs(det2(eq.bidegree, v)) for eq in model.equations]
-    g = gcd(*(x for _, x in vals), *degs)
-    weights = tuple(x // g for _, x in vals)
-    degrees = tuple(sorted(d // g for d in degs))
-    formed = well_form_weights(weights)
-    if formed != tuple(sorted(weights)):
+    g = gcd(*vals, *degs)
+    weights = tuple(x // g for x in vals)
+    if 0 in weights or any(gcd(*weights[:i], *weights[i + 1 :]) != 1 for i in range(len(weights))):
         raise LatticeError(
-            f"target weights {weights} well-form to {formed}; degree data would be stale"
+            f"target weights {weights} well-form to {well_form_weights(weights)}; "
+            "degree data would be stale"
         )
-    return DivisorialTarget(weights=formed, degrees=degrees)
+    degrees = tuple(sorted(d // g for d in degs))
+    return DivisorialTarget(weights=tuple(sorted(weights)), degrees=degrees)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import fano2ray
 from expected import hand_written_parser
 from fano2ray.catalog import load_catalog
 from fano2ray.cli import Command, _read_plain, build_parser, main, run, serialize
-from fano2ray import singular
+from fano2ray import linkengine, singular
 from fano2ray.linkengine import verify_tables
 from fano2ray.singular import singular_locus
 
@@ -605,6 +605,49 @@ def test_verify_reports_a_recorded_game_that_cannot_run(
     report = verify_tables()
     assert not report.ok
     assert report.failures == failures
+
+
+def test_verify_reports_each_row_of_a_family_whose_locus_raises(tmp_path, monkeypatch, capsys):
+    # X_17 in P(1,2,3,6,7) is well-formed and of index 2, but its vertex p1
+    # is not terminal: the locus raises once, and each of the four rows at
+    # family 100 is one failure
+    data = tmp_path / "data"
+    shutil.copytree(Path(fano2ray.__file__).parent / "data", data)
+    families = data / "families.txt"
+    text = families.read_text(encoding="utf-8")
+    assert text.count("100 1,2,3,5,9 18 no -\n") == 1
+    families.write_text(
+        text.replace("100 1,2,3,5,9 18 no -\n", "100 1,2,3,6,7 17 no -\n"), encoding="utf-8"
+    )
+    monkeypatch.setenv("FANO2RAY_DATA", str(data))
+    loci = []
+    original = singular.singular_locus
+
+    def counting(record):
+        loci.append(record.id)
+        return original(record)
+
+    # the replay's binding, and the one locate calls
+    monkeypatch.setattr(singular, "singular_locus", counting)
+    monkeypatch.setattr(linkengine, "singular_locus", counting)
+
+    assert main(["verify", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    doc = json.loads(captured.out)
+    assert doc["ok"] is False
+    reason = "local weight 0 shares a factor with r=2"
+    assert doc["failures"] == [
+        f"family 100 {row}: {reason}"
+        for row in ("p3", "p2p4 tangent x4", "p3 raw", "p3 wellformed")
+    ]
+    assert [(doc[s]["matched"], doc[s]["total"]) for s in ("links", "exclusions", "matrices")] == [
+        (5, 6),
+        (6, 7),
+        (5, 7),
+    ]
+    assert doc["solidity"]["links_confirmed"] is False
+    assert loci.count(100) == 1
 
 
 def test_verify_markdown_sections():

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import re
+import shutil
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import fano2ray
 from fano2ray import cli, exclusion, linkengine
 from fano2ray.catalog import MATRIX_STAGES, FamilyRecord, family, load_catalog
 from fano2ray.linkengine import GameTrace, run_game, verify_tables
@@ -265,13 +268,16 @@ def test_verify_tables_builds_each_game_once(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
+    counting(linkengine, "singular_locus")
     counting(linkengine, "build_model")
     counting(exclusion, "fibration_witness")
     counting(linkengine, "solidity_summary")
     counting(exclusion, "solidity_summary")
-    # 6 link games and 7 exclusion games, the matrices reusing the link games;
-    # one fibration witness per family, all from the one solidity summary
+    # one singular locus for each of the 5 recorded families; 6 link games and
+    # 7 exclusion games, the matrices reusing the link games; one fibration
+    # witness per family, all from the one solidity summary
     once = {
+        "fano2ray.linkengine.singular_locus": 5,
         "fano2ray.linkengine.build_model": 13,
         "fano2ray.exclusion.fibration_witness": 35,
         "fano2ray.linkengine.solidity_summary": 1,
@@ -282,6 +288,26 @@ def test_verify_tables_builds_each_game_once(monkeypatch):
     calls.clear()
     assert cli.run(cli.Command(verb="verify", format="json"))[0] == 0
     assert calls == once
+
+
+def test_a_row_naming_the_first_tangent_reuses_the_game(tmp_path, monkeypatch):
+    # the exclusion row 102 p2 x0 names the site's first tangent candidate,
+    # the game a matrix row at 102 p2 refers to: the two rows share one game
+    data = tmp_path / "data"
+    shutil.copytree(Path(fano2ray.__file__).parent / "data", data)
+    with open(data / "reference_matrices.txt", "a", encoding="utf-8") as f:
+        f.write("102 p2 raw u,y2,y3,y4,y1,y0 0,5,7,13,2,1 -5,0,1,4,1,3\n")
+    monkeypatch.setenv("FANO2RAY_DATA", str(data))
+    builds = []
+    original = linkengine.build_model
+    monkeypatch.setattr(
+        linkengine, "build_model", lambda *args: builds.append(args) or original(*args)
+    )
+    report = verify_tables()
+    assert report.ok
+    assert len(report.matrix_rows) == 8 and report.matrix_rows[-1]["matched"]
+    assert len(builds) == 13
+    assert [(rec.id, blow.tangent) for rec, blow in builds].count((102, 0)) == 1
 
 
 def test_game_model_is_well_formed_unprojection_on_every_unprojected_game():

@@ -268,6 +268,30 @@ def test_divisorial_target_rejects_non_contraction(raw100):
         divisorial_target(well_form_model(raw100), "y4")
 
 
+def test_divisorial_target_rejects_weights_that_are_not_well_formed():
+    # y3 is the one ray beyond the y2 wall; all target weights but the one of
+    # u share the factor 2, so the well-formed weights would change the degree
+    model = RankTwoModel(
+        columns=_sort_columns(
+            [("u", (0, -1)), ("y0", (2, 0)), ("y1", (4, 0)), ("y2", (1, 1)),
+             ("y3", (1, 3)), ("y4", (-1, 1))]
+        ),
+        equations=(TransformedEquation(support=frozenset(), bidegree=(4, 0)),),
+        center="y0",
+    )
+    message = (
+        "target weights (1, 2, 4, 2, 4) well-form to (1, 1, 1, 2, 2); degree data would be stale"
+    )
+    with pytest.raises(LatticeError) as err:
+        divisorial_target(model, "y3")
+    assert str(err.value) == message
+    with pytest.raises(LatticeError) as err:
+        restrict_walk(model)
+    assert str(err.value) == message
+    with pytest.raises(DegenerateWall):
+        divisorial_target(model, "y2")
+
+
 def test_minus_k_examples(raw100):
     wf = well_form_model(raw100)
     # oracle: column sum (2,5) minus equation bidegree (2,4)
