@@ -52,7 +52,7 @@ def fano_index(weights: Weights, degree: int) -> int:
     degree = operator.index(degree)
     if len(weights) != 5:
         raise ValueError(f"expected 5 ambient weights, got {len(weights)}")
-    if any(w <= 0 for w in weights):
+    if min(weights) <= 0:
         raise ValueError("weights must be positive")
     if degree < 1:
         raise ValueError("degree must be positive")

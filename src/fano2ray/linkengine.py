@@ -14,18 +14,20 @@ Fano adjunction bound ``sum(degrees) < sum(weights)``.  ``run_game`` reads
 no recorded value, so ``FamilyRecord(weights=w, degree=d)`` runs as a catalog
 row does; the ``game`` verb attaches a link's recorded label where it prints.
 
-``verify_tables`` computes each recorded family's singular locus once, runs
-each recorded (family, site, tangent) game once and reads every checked
-value off its trace.  It compares typed expectations:
-:mod:`fano2ray.catalog` reads and checks every recorded value as it loads,
-so the replay parses no recorded text.  It confirms the computed end models,
-verdicts and weight matrices and reports every known discrepancy
-in the reference data (misprinted Kawamata formats, degree-inconsistent key
-monomials, mislabelled blow-up rows, the inconsistent u-column of the
-unprojected 110 matrix) as a deviation with both the recorded and the
-derived value.  It also cross-checks the solidity partition: the families
-without a fibration witness must be exactly the families with a recorded
-link.  Its :class:`Report` is the one verify verdict; the CLI only renders it.
+``verify_tables`` is one walk over the recorded tables (links, exclusions,
+matrices).  Each table gives a row's recorded fields, its failure name, the
+site and tangent of its game and a check that reads the computed fields off
+the game's trace; the walk computes each family's singular locus once and
+runs each (family, site, tangent) game once.  A row whose game cannot run is
+written by the walk alone: one failure, and the row with the table's
+computed fields null and ``matched`` false.  The expectations are typed:
+:mod:`fano2ray.catalog` checks every recorded value as it loads.  Every
+known discrepancy in the reference data (misprinted Kawamata formats,
+degree-inconsistent key monomials, mislabelled blow-up rows, the u-column of
+the unprojected 110 matrix) is a deviation with both the recorded and the
+derived value.  The families without a fibration witness must be exactly
+the families with a recorded link.  Its :class:`Report` is the one verify
+verdict; the CLI only renders it.
 """
 
 from __future__ import annotations
@@ -237,31 +239,23 @@ def _memo(games: dict, key, compute, *args):
     return games[key]
 
 
-def _replay_game(
-    games: dict, report: Report, name: str, record: FamilyRecord, point: str, tangent=None
-):
+def _game(games: dict, record: FamilyRecord, point: str, tangent: str | None):
     """``run_game`` memoised within one replay: each family's singular locus
     is computed once, and each game once per (family, site, tangent index).
     ``tangent=None`` stands for the site's first tangent candidate, the one
     the link and matrix tables refer to (none at a site without one, where
-    the blow-up raises).  A locus or game that cannot be computed gives
-    ``None`` and one failure, headed ``name``, for each row that asks for it."""
-    game = locus = _memo(games, record.id, singular_locus, record)
-    if not isinstance(locus, str):
-        entry = next((e for e in locus if e.site.label == point), None)
-        if entry is None:
-            # locate raises the KeyError that names a site the locus lacks
-            game = _memo(games, (record.id, point), locate, record, point)
-        else:
-            if tangent is None:
-                tangent = next((t for _, t in entry.tangent_candidates), None)
-            else:
-                tangent = AMBIENT_VARIABLES.index(tangent)
-            game = _memo(games, (record.id, point, tangent), run_game, record, entry, tangent)
-    if isinstance(game, str):
-        report.failures.append(f"{name}: {game}")
-        return None
-    return game
+    the blow-up raises).  A locus or game that cannot be computed gives the
+    text of its error."""
+    locus = _memo(games, record.id, singular_locus, record)
+    if isinstance(locus, str):
+        return locus
+    entry = next((e for e in locus if e.site.label == point), None)
+    if entry is None:
+        # locate raises the KeyError that names a site the locus lacks
+        return _memo(games, (record.id, point), locate, record, point)
+    first = next((t for _, t in entry.tangent_candidates), None)
+    tangent = first if tangent is None else AMBIENT_VARIABLES.index(tangent)
+    return _memo(games, (record.id, point, tangent), run_game, record, entry, tangent)
 
 
 def _check_keys(record, entry, exp, report: Report) -> None:
@@ -292,105 +286,76 @@ def _check_keys(record, entry, exp, report: Report) -> None:
             )
 
 
-def _check_links(records, games: dict, report: Report) -> None:
-    for record in records:
-        for exp in record.expected.links:
-            expected = DivisorialTarget(exp.target_weights, tuple(sorted(exp.target_degrees)))
-            row = {
-                "family": record.id,
-                "point": exp.point,
-                "label": exp.label,
-                "expected": str(expected),
-                "computed": None,
-                "unprojected": None,
-                "matched": False,
-            }
-            report.link_rows.append(row)
-            name = f"family {record.id} {exp.point}"
-            game = _replay_game(games, report, name, record, exp.point)
-            if game is None:
-                continue
-            trace, outcome = game
-            target = trace.final_target
-            computed = str(target) if target else "(no divisorial contraction)"
-            matched = outcome.model == expected and trace.unprojected == (
-                exp.construction == "unprojection"
+def _link_row(record: FamilyRecord, exp):
+    """A link row: the recorded end model of the link from ``exp.point``."""
+    expected = DivisorialTarget(exp.target_weights, tuple(sorted(exp.target_degrees)))
+    name = f"family {record.id} {exp.point}"
+
+    def check(report: Report, trace: GameTrace, outcome: LinkOutcome):
+        target = trace.final_target
+        computed = str(target) if target else "(no divisorial contraction)"
+        matched = outcome.model == expected and trace.unprojected == (
+            exp.construction == "unprojection"
+        )
+        if not matched:
+            report.failures.append(f"{name}: expected {expected}, got {computed} ({outcome.kind})")
+        r = trace.blowup.singularity.r
+        derived_type = trace.blowup.singularity.per_variable_form
+        if tuple(exp.kawamata_type) != derived_type:
+            report.add_deviation(
+                "kawamata_format",
+                record.id,
+                exp.point,
+                _quotient_type(r, exp.kawamata_type),
+                _quotient_type(r, derived_type),
             )
-            if not matched:
-                report.failures.append(
-                    f"{name}: expected {expected}, got {computed} ({outcome.kind})"
-                )
-            r = trace.blowup.singularity.r
-            derived_type = trace.blowup.singularity.per_variable_form
-            if tuple(exp.kawamata_type) != derived_type:
-                report.add_deviation(
-                    "kawamata_format",
-                    record.id,
-                    exp.point,
-                    _quotient_type(r, exp.kawamata_type),
-                    _quotient_type(r, derived_type),
-                )
-            row.update(computed=computed, unprojected=trace.unprojected, matched=matched)
+        return computed, trace.unprojected, matched
+
+    row = dict(family=record.id, point=exp.point, label=exp.label, expected=str(expected))
+    return row, name, exp.point, None, check
 
 
-def _check_exclusions(records, games: dict, report: Report) -> None:
-    for record in records:
-        for exp in record.expected.exclusions:
-            row = {
-                "family": record.id,
-                "site": exp.site,
-                "tangent": exp.tangent,
-                "count": None,
-                "expected_verdict": exp.verdict,
-                "computed_verdict": None,
-                "minus_k": None,
-                "position": None,
-                "matched": False,
-            }
-            report.exclusion_rows.append(row)
-            name = f"family {record.id} {exp.site} tangent {exp.tangent}"
-            game = _replay_game(games, report, name, record, exp.site, exp.tangent)
-            if game is None:
-                continue
-            trace, outcome = game
-            entry = trace.blowup.center_entry
-            verdict_ok = outcome.kind == exp.verdict
-            if not verdict_ok:
-                report.failures.append(f"{name}: expected {exp.verdict}, got {outcome.kind}")
-            if entry.count != exp.count:
-                report.failures.append(
-                    f"family {record.id} {exp.site}: point count {entry.count} != "
-                    f"recorded {exp.count}"
-                )
-            blowup = _raw_blowup_row(trace.raw_unprojected or trace.raw)
-            blowup_ok = blowup == exp.corrected_blowup
-            if not blowup_ok:
-                report.failures.append(
-                    f"{name}: blow-up row {blowup} != recorded {exp.corrected_blowup}"
-                )
-            if exp.blowup != exp.corrected_blowup:
-                report.add_deviation(
-                    "blowup_row_label", record.id, exp.site, exp.blowup, exp.corrected_blowup
-                )
-            sing = trace.blowup.singularity
-            derived_raw = tuple(w for _, w in sing.local_weights)
-            if tuple(exp.local_type) != derived_raw:
-                report.add_deviation(
-                    "singularity_type",
-                    record.id,
-                    exp.site,
-                    _quotient_type(sing.r, exp.local_type),
-                    f"{_quotient_type(sing.r, derived_raw)}, "
-                    f"normalized {_quotient_type(sing.r, sing.per_variable_form)}",
-                )
-            _check_keys(record, entry, exp, report)
-            row.update(
-                count=entry.count,
-                computed_verdict=outcome.kind,
-                minus_k=list(outcome.minus_k),
-                position=outcome.position,
-                matched=verdict_ok and blowup_ok,
+def _exclusion_row(record: FamilyRecord, exp):
+    """An exclusion row: the recorded game at ``exp.site`` with ``exp.tangent``."""
+    name = f"family {record.id} {exp.site} tangent {exp.tangent}"
+
+    def check(report: Report, trace: GameTrace, outcome: LinkOutcome):
+        entry = trace.blowup.center_entry
+        verdict_ok = outcome.kind == exp.verdict
+        if not verdict_ok:
+            report.failures.append(f"{name}: expected {exp.verdict}, got {outcome.kind}")
+        if entry.count != exp.count:
+            report.failures.append(
+                f"family {record.id} {exp.site}: point count {entry.count} != "
+                f"recorded {exp.count}"
             )
+        blowup = _raw_blowup_row(trace.raw_unprojected or trace.raw)
+        blowup_ok = blowup == exp.corrected_blowup
+        if not blowup_ok:
+            report.failures.append(
+                f"{name}: blow-up row {blowup} != recorded {exp.corrected_blowup}"
+            )
+        if exp.blowup != exp.corrected_blowup:
+            report.add_deviation(
+                "blowup_row_label", record.id, exp.site, exp.blowup, exp.corrected_blowup
+            )
+        sing = trace.blowup.singularity
+        derived_raw = tuple(w for _, w in sing.local_weights)
+        if tuple(exp.local_type) != derived_raw:
+            report.add_deviation(
+                "singularity_type",
+                record.id,
+                exp.site,
+                _quotient_type(sing.r, exp.local_type),
+                f"{_quotient_type(sing.r, derived_raw)}, "
+                f"normalized {_quotient_type(sing.r, sing.per_variable_form)}",
+            )
+        _check_keys(record, entry, exp, report)
+        minus_k = list(outcome.minus_k)
+        return entry.count, outcome.kind, minus_k, outcome.position, verdict_ok and blowup_ok
+
+    row = dict(family=record.id, site=exp.site, tangent=exp.tangent, expected_verdict=exp.verdict)
+    return row, name, exp.site, exp.tangent, check
 
 
 #: Recorded matrix stage -> the GameTrace field holding that model.
@@ -399,53 +364,40 @@ _STAGE_FIELDS = dict(
 )
 
 
-def _check_matrices(records, games: dict, report: Report) -> None:
-    for record in records:
-        for exp in record.expected.matrices:
-            row = {
-                "family": record.id,
-                "point": exp.point,
-                "stage": exp.stage,
-                "method": None,
-                "matched": False,
-            }
-            report.matrix_rows.append(row)
-            name = f"family {record.id} {exp.point} {exp.stage}"
-            game = _replay_game(games, report, name, record, exp.point)
-            if game is None:
-                continue
-            trace = game[0]
-            field = _STAGE_FIELDS[exp.stage]
-            missing = "unprojected" in exp.stage and not trace.unprojected
-            model = getattr(trace, field)
-            mine, recorded = None if missing else model.column_map(), dict(exp.columns)
-            method, matched = "exact", not missing
-            if missing:
-                report.failures.append(f"{name}: the game has no such model")
-            elif mine != recorded and field in ("raw", "raw_unprojected"):
-                matched = False
-                report.failures.append(
-                    f"{name}: computed columns {sorted(mine.items())} != "
-                    f"recorded {sorted(recorded.items())}"
-                )
-            elif mine != recorded:
-                # a well-formed matrix is recorded up to a rational regrading
-                method = "regrade"
-                try:
-                    image = match_recorded_grading(model, recorded)
-                except LatticeError as err:
-                    matched = False
-                    report.failures.append(f"{name}: {err}")
-                else:
-                    if image["u"] != recorded["u"]:
-                        report.add_deviation(
-                            "grading_u_column",
-                            record.id,
-                            exp.point,
-                            str(recorded["u"]),
-                            str(image["u"]),
-                        )
-            row.update(method=method, matched=matched)
+def _matrix_row(record: FamilyRecord, exp):
+    """A matrix row: the recorded weight matrix of one stage of the game at
+    ``exp.point``."""
+    name = f"family {record.id} {exp.point} {exp.stage}"
+
+    def check(report: Report, trace: GameTrace, outcome: LinkOutcome):
+        if "unprojected" in exp.stage and not trace.unprojected:
+            report.failures.append(f"{name}: the game has no such model")
+            return "exact", False
+        field = _STAGE_FIELDS[exp.stage]
+        model = getattr(trace, field)
+        mine, recorded = model.column_map(), dict(exp.columns)
+        if mine == recorded:
+            return "exact", True
+        if field in ("raw", "raw_unprojected"):
+            report.failures.append(
+                f"{name}: computed columns {sorted(mine.items())} != "
+                f"recorded {sorted(recorded.items())}"
+            )
+            return "exact", False
+        # a well-formed matrix is recorded up to a rational regrading
+        try:
+            image = match_recorded_grading(model, recorded)
+        except LatticeError as err:
+            report.failures.append(f"{name}: {err}")
+            return "regrade", False
+        if image["u"] != recorded["u"]:
+            report.add_deviation(
+                "grading_u_column", record.id, exp.point, str(recorded["u"]), str(image["u"])
+            )
+        return "regrade", True
+
+    row = dict(family=record.id, point=exp.point, stage=exp.stage)
+    return row, name, exp.point, None, check
 
 
 def verify_tables() -> Report:
@@ -470,9 +422,30 @@ def verify_tables() -> Report:
         "P(a_0,a_1,a_2,a_3,a_4)",
     )
     games: dict = {}
-    _check_links(records, games, report)
-    _check_exclusions(records, games, report)
-    _check_matrices(records, games, report)
+    # each table: its rows, its expectations, the fields a game computes and
+    # the function giving a row's recorded fields, name, site, tangent, check
+    for rows, table, computed, row_of in (
+        (report.link_rows, "links", ("computed", "unprojected"), _link_row),
+        (
+            report.exclusion_rows,
+            "exclusions",
+            ("count", "computed_verdict", "minus_k", "position"),
+            _exclusion_row,
+        ),
+        (report.matrix_rows, "matrices", ("method",), _matrix_row),
+    ):
+        for record in records:
+            for exp in getattr(record.expected, table):
+                row, name, site, tangent, check = row_of(record, exp)
+                game = _game(games, record, site, tangent)
+                if isinstance(game, str):
+                    # a recorded row whose game cannot run is a failure row
+                    report.failures.append(f"{name}: {game}")
+                    values = (None,) * len(computed) + (False,)
+                else:
+                    values = check(report, *game)
+                row.update(zip((*computed, "matched"), values, strict=True))
+                rows.append(row)
     # a family with a fibration witness is not solid, so it has no link and
     # needs no smooth-point exclusion
     report.solidity = solidity_summary()

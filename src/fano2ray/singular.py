@@ -17,7 +17,14 @@ from itertools import filterfalse
 from math import gcd
 
 from ._records import Record
-from .catalog import AMBIENT_VARIABLES, FamilyRecord, Monomial, Weights, monomial_support
+from .catalog import (
+    AMBIENT_VARIABLES,
+    FamilyRecord,
+    Monomial,
+    Weights,
+    fano_index,
+    monomial_support,
+)
 
 _UNITS = ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1))
 
@@ -206,7 +213,10 @@ def singular_locus(record: FamilyRecord) -> tuple[SingularLocusEntry, ...]:
     Vertices report every tangent candidate (key monomials ``x_i^k * x_j``);
     strata report the number of points as the number of monomials of the
     restricted support less one (the degree of the restricted binary form).
+    A hypersurface that is not five positive weights and a positive degree
+    raises the :class:`ValueError` of :func:`~fano2ray.catalog.fano_index`.
     """
+    fano_index(record.weights, record.degree)
     entries: list[SingularLocusEntry] = []
     w = record.weights
     for i in range(5):

@@ -568,8 +568,17 @@ def test_verify_reports_a_wrong_recorded_exclusion(
             {"family": 128, "point": "p1p3", "computed": None, "unprojected": None},
             "| 128 | p1p3 (cE6) | - | False |",
         ),
+        (
+            "reference_matrices.txt",
+            "110 p4 raw ",
+            "110 p9 raw ",
+            ["family 110 p9 raw: family 110 has no singular site 'p9'"],
+            "matrices",
+            {"family": 110, "point": "p9", "stage": "raw", "method": None},
+            "- matrices: 6/7 matched",
+        ),
     ],
-    ids=["unknown-site", "not-a-tangent", "site-without-a-center"],
+    ids=["unknown-site", "not-a-tangent", "site-without-a-center", "matrix-at-an-unknown-site"],
 )
 def test_verify_reports_a_recorded_game_that_cannot_run(
     tmp_path, monkeypatch, capsys, name, row, edited, failures, section, fields, markdown_row
@@ -593,6 +602,8 @@ def test_verify_reports_a_recorded_game_that_cannot_run(
     failed = [r for r in doc[section]["rows"] if not r["matched"]]
     assert len(failed) == 1 and failed[0].items() >= fields.items()
     assert doc[section]["total"] - doc[section]["matched"] == 1
+    # the failure row has the keys of the table's computed rows
+    assert {frozenset(r) for r in doc[section]["rows"]} == {frozenset(failed[0])}
 
     assert main(["verify"]) == 1
     captured = capsys.readouterr()
@@ -648,6 +659,11 @@ def test_verify_reports_each_row_of_a_family_whose_locus_raises(tmp_path, monkey
     ]
     assert doc["solidity"]["links_confirmed"] is False
     assert loci.count(100) == 1
+    # each failure row has the keys of its table's computed rows
+    for section in ("links", "exclusions", "matrices"):
+        keys = {frozenset(r) for r in doc[section]["rows"] if r["matched"]}
+        failed = [frozenset(r) for r in doc[section]["rows"] if not r["matched"]]
+        assert len(keys) == 1 and failed and set(failed) == keys
 
 
 def test_verify_markdown_sections():

@@ -204,6 +204,26 @@ def test_a_hypersurface_outside_the_catalog_is_named_by_its_equation():
     assert err.value.args == ("X_5 ⊂ P(1,1,1,1,2) has no singular site 'p9'",)
 
 
+@pytest.mark.parametrize(
+    "weights,degree,message",
+    [
+        ((1, 1, 1, 2), 3, "expected 5 ambient weights, got 4"),
+        ((1, 1, 1, 1, 2, 2), 4, "expected 5 ambient weights, got 6"),
+        ((0, 1, 1, 2, 3), 5, "weights must be positive"),
+        ((-9, 1, 1, 2, 3), 4, "weights must be positive"),
+        ((1, 1, 1, 2, 3), 0, "degree must be positive"),
+    ],
+    ids=["four-weights", "six-weights", "zero-weight", "negative-weight", "zero-degree"],
+)
+def test_singular_locus_checks_the_shape_of_its_hypersurface(weights, degree, message):
+    # fano_index's rules decide the shape: a NotTerminal (also a ValueError)
+    # read off a weight of 0 would not pass
+    with pytest.raises(ValueError) as err:
+        singular_locus(FamilyRecord(weights=weights, degree=degree))
+    assert type(err.value) is ValueError
+    assert str(err.value) == message
+
+
 def test_singular_locus_103_three_tangents():
     entry = locate(family(103), "p1")
     assert [t for _, t in entry.tangent_candidates] == [0, 2, 3]
