@@ -194,7 +194,6 @@ def _verify_report(command: Command) -> tuple[int, dict]:
     report = linkengine.verify_tables()
     out = {
         "verb": "verify",
-        "catalog": {"count": report.catalog_count, "index_mismatches": []},
         "solidity": {
             "witnessed": list(report.solidity.witnessed),
             "witness_less": list(report.solidity.witness_less),
@@ -204,11 +203,7 @@ def _verify_report(command: Command) -> tuple[int, dict]:
         "failures": list(report.failures),
         "ok": report.ok,
     }
-    for section, rows in (
-        ("links", report.link_rows),
-        ("exclusions", report.exclusion_rows),
-        ("matrices", report.matrix_rows),
-    ):
+    for section, rows in report.rows.items():
         out[section] = {
             "rows": rows,
             "matched": sum(r["matched"] for r in rows),

@@ -88,11 +88,10 @@ def curve_test(record: FamilyRecord) -> ExclusionReport:
 class FibrationWitness(Record):
     """Exact data exhibiting a birational map to a fibration over the line.
 
-    The projection to the first two coordinates has fibres of negative
-    canonical degree: a degree-``d`` hypersurface in the truncated ambient
-    space, or (when ``a0 > 1``, so that a degree-``a0*a1`` pencil member is
-    needed to cut the fibre) the complete intersection of the member with one
-    such pencil member selected by an opaque parameter.
+    The projection to the first two coordinates has fibres of canonical degree
+    ``a0*a1 - index < 0``, each cut by a member of the pencil ``x1^a0 = lambda
+    * x0^a1``.  When ``a0 = 1`` the member eliminates ``x1``: the fibre is a
+    degree-``d`` hypersurface without it.  Else it is their complete intersection.
     """
 
     target: tuple[int, int]
@@ -112,9 +111,8 @@ def fibration_witness(record: FamilyRecord) -> FibrationWitness | None:
         kind, ambient, degrees = "complete_intersection", a, (record.degree, a[0] * a[1])
         pencil = f"x1^{a[0]} = lambda * x0^{a[1]}"
     else:
-        kind, ambient, degrees, pencil = "hypersurface", a[1:], (record.degree,), None
-    # adjunction: the fibre's canonical class has the degree sum(degrees) - sum(ambient),
-    # a0*a1 - index, or 1 - index when a0 = 1: both negative, as 1 <= a0*a1 < index
+        kind, ambient, degrees, pencil = "hypersurface", a[:1] + a[2:], (record.degree,), None
+    # adjunction: the fibre's canonical degree sum(degrees) - sum(ambient) is a0*a1 - index < 0
     canonical_degree = sum(degrees) - sum(ambient)
     return FibrationWitness(
         target=(a[0], a[1]),

@@ -188,15 +188,14 @@ class Deviation(Record):
 
 class Report:
     """Rows, deviations and failures of one replay of the reference tables,
-    and the solidity partition of the catalog that the links are checked by."""
+    and the solidity partition of the catalog that the links are checked by.
+    ``rows`` maps each recorded table (``links``, ``exclusions``,
+    ``matrices``) to its rows, in replay order."""
 
     def __init__(self) -> None:
-        self.catalog_count = 0
         self.solidity = SoliditySummary(witnessed=(), witness_less=())
         self.links_confirmed = False
-        self.link_rows: list[dict] = []
-        self.exclusion_rows: list[dict] = []
-        self.matrix_rows: list[dict] = []
+        self.rows: dict[str, list[dict]] = {}
         self.deviations: list[Deviation] = []
         self.failures: list[str] = []
 
@@ -413,7 +412,6 @@ def verify_tables() -> Report:
     """
     records = load_catalog()
     report = Report()
-    report.catalog_count = len(records)
     report.add_deviation(
         "ambient_header",
         None,
@@ -422,18 +420,14 @@ def verify_tables() -> Report:
         "P(a_0,a_1,a_2,a_3,a_4)",
     )
     games: dict = {}
-    # each table: its rows, its expectations, the fields a game computes and
-    # the function giving a row's recorded fields, name, site, tangent, check
-    for rows, table, computed, row_of in (
-        (report.link_rows, "links", ("computed", "unprojected"), _link_row),
-        (
-            report.exclusion_rows,
-            "exclusions",
-            ("count", "computed_verdict", "minus_k", "position"),
-            _exclusion_row,
-        ),
-        (report.matrix_rows, "matrices", ("method",), _matrix_row),
+    # each table: its expectations, the fields a game computes and the
+    # function giving a row's recorded fields, name, site, tangent, check
+    for table, computed, row_of in (
+        ("links", ("computed", "unprojected"), _link_row),
+        ("exclusions", ("count", "computed_verdict", "minus_k", "position"), _exclusion_row),
+        ("matrices", ("method",), _matrix_row),
     ):
+        rows = report.rows[table] = []
         for record in records:
             for exp in getattr(record.expected, table):
                 row, name, site, tangent, check = row_of(record, exp)
@@ -450,14 +444,14 @@ def verify_tables() -> Report:
     # needs no smooth-point exclusion
     report.solidity = solidity_summary()
     witness_less = set(report.solidity.witness_less)
-    linked = {row["family"] for row in report.link_rows}
+    linked = {row["family"] for row in report.rows["links"]}
     if witness_less != linked:
         report.failures.append(
             f"families without a fibration witness {sorted(witness_less)} != "
             f"families with a recorded link {sorted(linked)}"
         )
     report.links_confirmed = witness_less == linked and all(
-        row["matched"] for row in report.link_rows
+        row["matched"] for row in report.rows["links"]
     )
     for record in (r for r in records if r.id in witness_less):
         rep = smooth_point_test(record)

@@ -103,6 +103,22 @@ def test_fibration_witness_hypersurface_case():
     assert w.fibre_canonical_degree == -2
 
 
+def test_fibration_witness_fibre_lies_in_the_ambient_without_x1():
+    # with a0 = 1 the pencil x1 = lambda * x0^a1 eliminates x1, not x0
+    w = fibration_witness(family(108))
+    assert w.ambient == (1, 3, 4, 5)
+    assert w.fibre_canonical_degree == -1
+    for rec in load_catalog():
+        w = fibration_witness(rec)
+        if w is None:
+            continue
+        a = rec.weights
+        assert w.fibre_canonical_degree == a[0] * a[1] - rec.index
+        assert w.fibre_canonical_degree == sum(w.degrees) - sum(w.ambient)
+        if w.kind == "hypersurface":
+            assert w.ambient == a[:1] + a[2:]
+
+
 def test_fibration_witness_complete_intersection_case():
     w = fibration_witness(family(122))
     assert w is not None

@@ -223,12 +223,12 @@ def test_games_of_a_bare_hypersurface_equal_the_catalog_games():
 def test_verify_tables_matches_everything():
     report = verify_tables()
     assert report.ok
-    assert all(r["matched"] for r in report.link_rows)
-    assert len(report.link_rows) == 6
-    assert all(r["matched"] for r in report.exclusion_rows)
-    assert len(report.exclusion_rows) == 7
-    assert all(r["matched"] for r in report.matrix_rows)
-    assert len(report.matrix_rows) == 7
+    assert all(r["matched"] for r in report.rows["links"])
+    assert len(report.rows["links"]) == 6
+    assert all(r["matched"] for r in report.rows["exclusions"])
+    assert len(report.rows["exclusions"]) == 7
+    assert all(r["matched"] for r in report.rows["matrices"])
+    assert len(report.rows["matrices"]) == 7
 
 
 def test_every_matrix_stage_reads_a_trace_field():
@@ -251,9 +251,11 @@ def test_verify_tables_deviations():
 def test_verify_tables_idempotent():
     first = verify_tables()
     second = verify_tables()
+    assert first.rows == second.rows
     assert first.deviations == second.deviations
-    assert first.link_rows == second.link_rows
-    assert first.exclusion_rows == second.exclusion_rows
+    assert first.failures == second.failures
+    assert first.solidity == second.solidity
+    assert first.links_confirmed == second.links_confirmed
 
 
 def test_verify_tables_builds_each_game_once(monkeypatch):
@@ -305,7 +307,7 @@ def test_a_row_naming_the_first_tangent_reuses_the_game(tmp_path, monkeypatch):
     )
     report = verify_tables()
     assert report.ok
-    assert len(report.matrix_rows) == 8 and report.matrix_rows[-1]["matched"]
+    assert len(report.rows["matrices"]) == 8 and report.rows["matrices"][-1]["matched"]
     assert len(builds) == 13
     assert [(rec.id, blow.tangent) for rec, blow in builds].count((102, 0)) == 1
 
