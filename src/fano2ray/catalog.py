@@ -44,9 +44,9 @@ def fano_index(weights: Weights, degree: int) -> int:
     """Fano index ``sum(weights) - degree`` of a degree-``degree`` hypersurface.
 
     A non-positive return value signals a non-Fano input; catalog loading
-    rejects such records.  Inputs must be integers (``operator.index``): a
-    float or a string raises :class:`TypeError`, a non-positive weight
-    :class:`ValueError`.
+    rejects every record of index below 2.  Inputs must be integers
+    (``operator.index``): a float or a string raises :class:`TypeError`, a
+    non-positive weight :class:`ValueError`.
     """
     weights = tuple(map(operator.index, weights))
     degree = operator.index(degree)
@@ -378,20 +378,6 @@ def _matrix_row(point, stage, labels, row1, row2):
     return MatrixExpectation(point=point, stage=stage, columns=tuple(zip(labels, rows)))
 
 
-def _validate(records: tuple[FamilyRecord, ...], supports: dict) -> None:
-    if len(records) != 35:
-        raise CatalogError(f"expected 35 families, found {len(records)}")
-    if [r.id for r in records] != list(range(96, 131)):
-        raise CatalogError("family ids must be the contiguous range 96..130")
-    for r in records:
-        if list(r.weights) != sorted(r.weights):
-            raise CatalogError(f"family {r.id}: weights not nondecreasing")
-        if well_form_weights(r.weights) != r.weights:
-            raise CatalogError(f"family {r.id}: ambient weights not well-formed")
-        if not supports[r.weights, r.degree]:
-            raise CatalogError(f"family {r.id}: empty monomial support")
-
-
 def _family_row(fam, weights, degree, rational, h) -> FamilyRecord:
     """A family without its expectations, which are read after every family."""
     if rational not in ("yes", "no"):
@@ -401,8 +387,11 @@ def _family_row(fam, weights, degree, rational, h) -> FamilyRecord:
         raise ValueError(f"h must be a positive integer or -, got {h!r}")
     fam_id, weights, degree = _int(fam), _ints(weights), _int(degree)
     # raises on a weight count other than 5 or a weight <= 0
-    if fano_index(weights, degree) < 1:
-        raise ValueError("non-positive Fano index")
+    if fano_index(weights, degree) < 2:
+        raise ValueError("Fano index below 2")
+    # well_form_weights returns the sorted well-formed vector
+    if well_form_weights(weights) != weights:
+        raise ValueError("weights must be nondecreasing and well-formed")
     return FamilyRecord(
         id=fam_id,
         weights=weights,
@@ -430,8 +419,12 @@ def _load_catalog(data_dir: str) -> tuple[FamilyRecord, ...]:
         )
         for r in sorted(families, key=lambda r: r.id)
     )
+    if [r.id for r in records] != list(range(96, 131)):
+        raise CatalogError("family ids must be the contiguous range 96..130")
     supports = {(r.weights, r.degree): monomial_support(r.weights, r.degree) for r in records}
-    _validate(records, supports)
+    for r in records:
+        if not supports[r.weights, r.degree]:
+            raise CatalogError(f"family {r.id}: empty monomial support")
     _FAMILY_SUPPORTS.update(supports)
     return records
 

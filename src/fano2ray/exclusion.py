@@ -27,7 +27,6 @@ _BASE_LOCUS_NOTE = (
 class ExclusionReport(Record):
     """Outcome of one numerical test, certified iff value <= threshold."""
 
-    kind: str  # "smooth_point" | "curve"
     test_value: Fraction
     threshold: Fraction
     certified: bool
@@ -63,7 +62,6 @@ def smooth_point_test(record: FamilyRecord, h_degree: int | None = None) -> Excl
     if not certified:
         notes += (f"test value {value} exceeds 4: no exclusion at h={h}",)
     return ExclusionReport(
-        kind="smooth_point",
         test_value=value,
         threshold=Fraction(SMOOTH_POINT_THRESHOLD),
         certified=certified,
@@ -78,7 +76,6 @@ def curve_test(record: FamilyRecord) -> ExclusionReport:
 
     value = anticanonical_cube(record)
     return ExclusionReport(
-        kind="curve",
         test_value=value,
         threshold=Fraction(CURVE_THRESHOLD),
         certified=value <= CURVE_THRESHOLD,

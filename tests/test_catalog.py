@@ -326,6 +326,10 @@ def test_well_form_weights_rejects_non_integers():
         ("110 +1,3,5,7,8 21 no 15", "not an integer: '+1'"),
         ("110 1,3,5,7,8 2_1 no 15", "not an integer: '2_1'"),
         ("110 1,3,5,7,8 21 no \u0661\u0665", "not an integer: '\u0661\u0665'"),
+        # the row parser also checks the weights and the index >= 2 rule
+        ("110 1,3,5,8,7 21 no 15", "weights must be nondecreasing and well-formed"),
+        ("110 1,3,6,9,12 21 no 15", "weights must be nondecreasing and well-formed"),
+        ("110 1,3,5,7,8 23 no 15", "Fano index below 2"),
     ],
 )
 def test_unreadable_family_line_names_file_and_line(
@@ -346,6 +350,30 @@ def test_unreadable_family_line_names_file_and_line(
     assert main(["catalog"]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {where}") and message in err
+
+
+@pytest.mark.parametrize(
+    "row, edited, message",
+    [
+        ("130 ", None, "family ids must be the contiguous range 96..130"),
+        ("110 ", "110 2,3,5,7,11 1 no 15", "family 110: empty monomial support"),
+    ],
+    ids=["missing-id", "empty-support"],
+)
+def test_catalog_table_checks(tmp_path, monkeypatch, row, edited, message):
+    # checks over the parsed rows: the ids are 96..130 (so there are 35
+    # families) and every support has a monomial
+    data = tmp_path / "data"
+    shutil.copytree(Path(fano2ray.__file__).parent / "data", data)
+    path = data / "families.txt"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    number = next(n for n, text in enumerate(lines) if text.startswith(row))
+    lines[number : number + 1] = [] if edited is None else [edited]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    monkeypatch.setenv("FANO2RAY_DATA", str(data))
+
+    with pytest.raises(CatalogError, match=re.escape(message)):
+        load_catalog()
 
 
 @pytest.mark.parametrize(

@@ -509,8 +509,21 @@ def test_verify_reports_a_recorded_matrix_of_a_missing_stage(tmp_path, monkeypat
             "family 102 p2: recorded key x2^3*x0^11 is degree-consistent but not in "
             "the support data",
         ),
+        (
+            # at the stratum p2p4 a key must be a monomial in x2 and x4 alone
+            "100 p2p4 x4 2 1,2,2 x4^2+x4*x2^2 ",
+            "100 p2p4 x4 2 1,2,2 x0^18+x4*x2^2 ",
+            "family 100 p2p4: recorded key x0^18 is degree-consistent but not in "
+            "the support data",
+        ),
     ],
-    ids=["verdict", "point-count", "corrected-blowup", "key-not-in-support"],
+    ids=[
+        "verdict",
+        "point-count",
+        "corrected-blowup",
+        "key-not-in-support",
+        "stratum-key-not-in-support",
+    ],
 )
 def test_verify_reports_a_wrong_recorded_exclusion(
     tmp_path, monkeypatch, capsys, row, edited, failure

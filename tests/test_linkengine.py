@@ -21,7 +21,7 @@ from fano2ray.toric2ray import (
     well_form_model,
 )
 
-from expected import values
+from expected import INDEX_ONE, values
 
 
 def raw_model(fid, point, tangent):
@@ -218,6 +218,30 @@ def test_games_of_a_bare_hypersurface_equal_the_catalog_games():
                 assert run_game(bare, entry, tangent) == run_game(rec, entry, tangent)
                 games += 1
     assert games == 87
+
+
+@pytest.mark.parametrize("catalog", ["index2", "index1"])
+def test_only_the_last_step_contracts_a_divisor(catalog):
+    # a wall is a contraction only when one ray lies beyond it, which only
+    # the last interior wall can have, and only a contraction carries a
+    # target: so a divisorial step is unique and last, with no check in
+    # run_game
+    records = (
+        load_catalog()
+        if catalog == "index2"
+        else [FamilyRecord(weights=w, degree=d) for w, d in INDEX_ONE]
+    )
+    games = targets = 0
+    for rec in records:
+        for entry in singular_locus(rec):
+            for _, tangent in entry.tangent_candidates:
+                steps = run_game(rec, entry, tangent)[0].steps
+                assert not any(step.target for step in steps[:-1])
+                for step in steps:
+                    assert (step.target is None) == (step.contracted is None)
+                games += 1
+                targets += bool(steps and steps[-1].target)
+    assert (games, targets) == {"index2": (87, 64), "index1": (59, 34)}[catalog]
 
 
 def test_verify_tables_matches_everything():

@@ -1,7 +1,8 @@
 from __future__ import annotations
 
-from itertools import product
-from math import gcd
+from fractions import Fraction
+from itertools import combinations, product
+from math import gcd, prod
 
 import pytest
 
@@ -446,3 +447,24 @@ def test_blowup_normalizes_only_for_the_other_tangents(monkeypatch):
     for game in games:
         blowup_weights(*game)
     assert (len(games), len(calls)) == (87, 21)
+
+
+@pytest.mark.parametrize("catalog", ["index2", "index1"])
+def test_kawamata_identity_on_every_basket(catalog):
+    # -K.c2 = 24 - sum(r - 1/r) over the basket (Kawamata, "Boundedness of
+    # Q-Fano threefolds", 1992); for X_d in P(a) of index i the left side is
+    # i*d*(e2(a) - d*e1(a) + d^2)/prod(a), from c(X) = prod(1 + a_j H)/(1 + d H)
+    records = (
+        load_catalog()
+        if catalog == "index2"
+        else [FamilyRecord(weights=w, degree=d) for w, d in INDEX_ONE]
+    )
+    for rec in records:
+        a, d = rec.weights, rec.degree
+        e2 = sum(x * y for x, y in combinations(a, 2))
+        k_c2 = Fraction(rec.index * d * (e2 - d * sum(a) + d * d), prod(a))
+        basket = sum(
+            e.count * (e.singularity.r - Fraction(1, e.singularity.r)) for e in singular_locus(rec)
+        )
+        assert k_c2 == 24 - basket, rec.name
+    assert len(records) == {"index2": 35, "index1": 11}[catalog]
