@@ -130,7 +130,7 @@ def monomial_support(weights: Weights, degree: int) -> frozenset[Monomial]:
     set is a valid result (no monomials of that weighted degree).
     """
     weights = tuple(map(operator.index, weights))
-    if min(weights, default=1) <= 0:
+    if weights and min(weights) <= 0:
         raise ValueError("weights must be positive")
     return _support(weights, operator.index(degree))
 
@@ -419,12 +419,19 @@ def _load_catalog(data_dir: str) -> tuple[FamilyRecord, ...]:
         )
         for r in sorted(families, key=lambda r: r.id)
     )
-    if [r.id for r in records] != list(range(96, 131)):
-        raise CatalogError("family ids must be the contiguous range 96..130")
+    path = os.path.join(data_dir, "families.txt")
+    listed = [r.id for r in records]
+    if listed != list(range(96, 131)):
+        wrong = [f"missing {i}" for i in range(96, 131) if i not in ids]
+        wrong += [f"repeated {i}" for i in sorted(ids) if listed.count(i) > 1]
+        wrong += [f"unexpected {i}" for i in sorted(ids) if not 96 <= i <= 130]
+        raise CatalogError(
+            f"{path}: family ids must be the contiguous range 96..130; {', '.join(wrong)}"
+        )
     supports = {(r.weights, r.degree): monomial_support(r.weights, r.degree) for r in records}
     for r in records:
         if not supports[r.weights, r.degree]:
-            raise CatalogError(f"family {r.id}: empty monomial support")
+            raise CatalogError(f"{path}: family {r.id}: empty monomial support")
     _FAMILY_SUPPORTS.update(supports)
     return records
 

@@ -13,7 +13,7 @@ data of the Kawamata blow-up that seeds the rank-2 toric models of
 from __future__ import annotations
 
 import operator
-from itertools import filterfalse
+from itertools import filterfalse, permutations
 from math import gcd
 
 from ._records import Record
@@ -27,6 +27,8 @@ from .catalog import (
 )
 
 _UNITS = ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1))
+#: The three indices outside each ordered pair of distinct indices, in order.
+_OUTSIDE = {p: tuple(l for l in range(5) if l not in p) for p in permutations(range(5), 2)}
 
 
 class NotTerminal(ValueError):
@@ -91,9 +93,10 @@ def normalize_terminal(
     """
     if r < 2:
         raise NotTerminal(f"quotient order must be at least 2, got {r}")
-    residues = tuple(w % r for w in weights)
-    if len(residues) != 3:
+    if len(weights) != 3:
         raise NotTerminal("need exactly three local weights")
+    w0, w1, w2 = weights
+    residues = (w0 % r, w1 % r, w2 % r)
     if len(variables) != 3:
         raise NotTerminal(f"need exactly three local variables, got {len(variables)}")
     for w in residues:
@@ -116,8 +119,8 @@ def _transverse(weights: Weights, pair: tuple[int, int]) -> tuple[Weights, tuple
     """The weights and indices of the three variables outside ``pair``, for
     :func:`normalize_terminal`, which callers call themselves: a
     :class:`NotTerminal`, common on non-terminal candidates, unwinds no extra frame."""
-    locals_ = tuple(l for l in range(5) if l not in pair)
-    return tuple(weights[l] for l in locals_), locals_
+    locals_ = a, b, c = _OUTSIDE[pair]
+    return (weights[a], weights[b], weights[c]), locals_
 
 
 # ---------------------------------------------------------------------------
@@ -149,11 +152,7 @@ def _vertex_entry(record: FamilyRecord, i: int) -> SingularLocusEntry | None:
     if d % r == 0:
         # the pure power x_i^(d/r) lies in the support: vertex off the member
         return None
-    keys = []
-    for j, unit in enumerate(_UNITS):
-        key = None if j == i else center_completion(w, d, i, unit)
-        if key is not None and key[i]:
-            keys.append((key, j))
+    keys = [(key, j) for j in range(5) if j != i and (key := _key(w, d, i, j))]
     if not keys:
         raise UnresolvedTangent(
             f"{record.name}: vertex p{i} lies on the member but the support "
@@ -189,10 +188,10 @@ def _stratum_entry(record: FamilyRecord, i: int, j: int) -> SingularLocusEntry |
     candidates: tuple[tuple[Monomial, int], ...] = ()
     if center is not None:
         # w_c divides w_t and, as the restricted support is nonempty, d: so
-        # the completion exists unless d < w_t, and at d = w_t it is a bare
-        # x_t (the member is a linear cone)
-        key = center_completion(w, d, center, _UNITS[tangent])
-        if key is None or not key[center]:
+        # the key exists unless d <= w_t (at d = w_t the member is a linear
+        # cone, and x_t has no center power)
+        key = _key(w, d, center, tangent)
+        if key is None:
             raise UnresolvedTangent(
                 f"{record.name}: stratum p{i}p{j} lies on the member but the "
                 f"support has no monomial x{center}^k*x{tangent} with k >= 1"
@@ -283,6 +282,18 @@ def center_completion(
     return monomial[:center] + (k,) + monomial[center + 1 :]
 
 
+def _key(weights: Weights, degree: int, center: int, tangent: int) -> Monomial | None:
+    """The key monomial ``x_center^k * x_tangent`` with ``k >= 1`` and weighted
+    degree ``degree``, or ``None`` when there is none: the
+    :func:`center_completion` of ``x_tangent`` when its center power is positive.
+    ``tangent`` must differ from ``center``."""
+    k, rem = divmod(degree - weights[tangent], weights[center])
+    if rem or k < 1:
+        return None
+    unit = _UNITS[tangent]
+    return unit[:center] + (k,) + unit[center + 1 :]
+
+
 def blowup_weights(
     record: FamilyRecord, entry: SingularLocusEntry, tangent: int | str
 ) -> BlowupData:
@@ -325,7 +336,7 @@ def blowup_weights(
     m = sing.multiplier
     b = [(m * w[l]) % r if l not in (c, tangent) else 0 for l in range(5)]
 
-    seeds = [(0,) * 5] + [_UNITS[j] for j in range(5) if j not in (c, tangent)]
+    seeds = [(0,) * 5] + [_UNITS[j] for j in _OUTSIDE[c, tangent]]
     completions = [center_completion(w, d, c, seed) for seed in seeds]
     excluded = frozenset(mono for mono in completions if mono is not None and mono[c])
     b0, b1, b2, b3, b4 = b

@@ -355,14 +355,25 @@ def test_unreadable_family_line_names_file_and_line(
 @pytest.mark.parametrize(
     "row, edited, message",
     [
-        ("130 ", None, "family ids must be the contiguous range 96..130"),
+        ("130 ", None, "family ids must be the contiguous range 96..130; missing 130"),
+        (
+            "130 ",
+            "131 3,4,5,6,7 12 yes -",
+            "family ids must be the contiguous range 96..130; missing 130, unexpected 131",
+        ),
+        (
+            "130 ",
+            "129 2,3,4,5,7 10 yes -",
+            "family ids must be the contiguous range 96..130; missing 130, repeated 129",
+        ),
         ("110 ", "110 2,3,5,7,11 1 no 15", "family 110: empty monomial support"),
     ],
-    ids=["missing-id", "empty-support"],
+    ids=["missing-id", "unexpected-id", "repeated-id", "empty-support"],
 )
 def test_catalog_table_checks(tmp_path, monkeypatch, row, edited, message):
     # checks over the parsed rows: the ids are 96..130 (so there are 35
-    # families) and every support has a monomial
+    # families) and every support has a monomial; each error names the file
+    # and the offending id, as a row error names its line
     data = tmp_path / "data"
     shutil.copytree(Path(fano2ray.__file__).parent / "data", data)
     path = data / "families.txt"
@@ -372,7 +383,7 @@ def test_catalog_table_checks(tmp_path, monkeypatch, row, edited, message):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     monkeypatch.setenv("FANO2RAY_DATA", str(data))
 
-    with pytest.raises(CatalogError, match=re.escape(message)):
+    with pytest.raises(CatalogError, match=re.escape(f"{path}: {message}")):
         load_catalog()
 
 

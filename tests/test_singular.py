@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, prod
@@ -10,12 +11,16 @@ from fano2ray import singular
 from fano2ray.catalog import (
     FamilyRecord,
     family,
+    fano_index,
     load_catalog,
+    monomial_support,
     weighted_degree,
+    well_form_weights,
 )
 from fano2ray.singular import (
     NotTerminal,
     QuotientSingularity,
+    SingularLocusEntry,
     Site,
     UnresolvedTangent,
     blowup_weights,
@@ -361,6 +366,19 @@ def scanned_completion(weights, degree, center, monomial):
     return None
 
 
+def seeded_candidates(count=3000, seed=3201):
+    """Distinct well-formed candidates ``X_d ⊂ P(w)``: five weights <= 30 and
+    Fano index 1..25, in the order drawn."""
+    rng = random.Random(seed)
+    drawn: dict[tuple, None] = {}
+    while len(drawn) < count:
+        weights = tuple(sorted(rng.randint(1, 30) for _ in range(5)))
+        degree = sum(weights) - rng.randint(1, 25)
+        if degree >= 1 and well_form_weights(weights) == weights:
+            drawn[weights, degree] = None
+    return [FamilyRecord(weights=w, degree=d) for w, d in drawn]
+
+
 def test_center_completion_matches_a_scan_of_center_powers():
     outcomes = {True: 0, False: 0}
     for rec in load_catalog():
@@ -392,6 +410,104 @@ def test_center_completion_matches_a_scan_of_center_powers():
                 assert key[c] >= 1
                 keys += 1
     assert keys
+    # the key rule is that completion when its center power is positive, and
+    # None otherwise: no completion, or a bare x_t (center power 0)
+    kinds = {"key": 0, "none": 0, "bare": 0}
+    for rec in [*load_catalog(), *index_one, *seeded_candidates()]:
+        w, d = rec.weights, rec.degree
+        for c, t in product(range(5), repeat=2):
+            if c != t:
+                completed = center_completion(w, d, c, tuple(int(l == t) for l in range(5)))
+                if completed is None:
+                    outcome, expected = "none", None
+                elif completed[c] == 0:
+                    outcome, expected = "bare", None
+                else:
+                    outcome, expected = "key", completed
+                assert singular._key(w, d, c, t) == expected
+                kinds[outcome] += 1
+    assert all(kinds.values())
+
+
+def reference_singular_locus(rec):
+    # singular_locus stated without singular._key or its table of outside
+    # indices: each key is the center_completion of a unit monomial with a
+    # positive center power, the three indices outside a pair are found by
+    # filtering, and germs are normalized by the multiplier search
+    fano_index(rec.weights, rec.degree)
+    w, d = rec.weights, rec.degree
+    units = [tuple(int(l == j) for l in range(5)) for j in range(5)]
+
+    def key(center, tangent):
+        completed = center_completion(w, d, center, units[tangent])
+        return completed if completed is not None and completed[center] >= 1 else None
+
+    def germ(r, pair):
+        locals_ = tuple(l for l in range(5) if l not in pair)
+        return reference_normalize_terminal(r, tuple(w[l] for l in locals_), locals_)
+
+    entries = []
+    for i in range(5):
+        if w[i] == 1 or d % w[i] == 0:
+            continue
+        keys = tuple((key(i, j), j) for j in range(5) if j != i and key(i, j) is not None)
+        if not keys:
+            raise UnresolvedTangent(
+                f"{rec.name}: vertex p{i} lies on the member but the support "
+                f"has no monomial x{i}^k*x_j"
+            )
+        entries.append(SingularLocusEntry(Site((i,)), 1, keys, germ(w[i], (i, keys[0][1])), i))
+    for i, j in combinations(range(5), 2):
+        r = gcd(w[i], w[j])
+        if r == 1:
+            continue
+        restricted = monomial_support((w[i], w[j]), d)
+        if not restricted:
+            raise NotTerminal(
+                f"{rec.name}: stratum p{i}p{j} is contained in the member "
+                "(one-dimensional singular locus, unsupported)"
+            )
+        if len(restricted) == 1:
+            continue
+        center = i if w[j] % w[i] == 0 else j if w[i] % w[j] == 0 else None
+        candidates = ()
+        if center is not None:
+            tangent = i + j - center
+            if key(center, tangent) is None:
+                raise UnresolvedTangent(
+                    f"{rec.name}: stratum p{i}p{j} lies on the member but the "
+                    f"support has no monomial x{center}^k*x{tangent} with k >= 1"
+                )
+            candidates = ((key(center, tangent), tangent),)
+        site = Site((i, j))
+        entries.append(
+            SingularLocusEntry(site, len(restricted) - 1, candidates, germ(r, (i, j)), center)
+        )
+    return tuple(entries)
+
+
+def _locus_outcome(locus, rec):
+    try:
+        return "accepted", locus(rec)
+    except ValueError as err:
+        return type(err), str(err)
+
+
+def test_singular_locus_matches_the_reference_on_seeded_candidates():
+    # every candidate's entries, or its exception class and message, agree
+    # with the reference; the seeded candidates reach each rejection, and the
+    # families reach vertices and strata with and without a center
+    verdicts = {}
+    sites = set()
+    index_one = [FamilyRecord(weights=w, degree=d) for w, d in INDEX_ONE]
+    for rec in [*load_catalog(), *index_one, *seeded_candidates()]:
+        verdict, expected = _locus_outcome(reference_singular_locus, rec)
+        assert _locus_outcome(singular_locus, rec) == (verdict, expected)
+        verdicts[verdict] = verdicts.get(verdict, 0) + 1
+        if verdict == "accepted":
+            sites.update((len(e.site.variables), e.center is None) for e in expected)
+    assert set(verdicts) == {"accepted", NotTerminal, UnresolvedTangent}
+    assert sites == {(1, False), (2, False), (2, True)}
 
 
 @pytest.mark.parametrize("fid", [128, 130])
