@@ -174,8 +174,8 @@ class LinkExpectation(Record):
     kawamata_type: tuple[int, int, int]
     label: str
     target_weights: Weights
+    #: one degree for a hypersurface, two for an unprojection's model
     target_degrees: tuple[int, ...]
-    construction: str  # "hypersurface" | "unprojection"
 
 
 class ExclusionExpectation(Record):
@@ -340,16 +340,13 @@ def _expectations(data_dir: str, name: str, width: int, parse, ids) -> dict[int,
     return table
 
 
-def _link_row(point, ktype, label, tweights, tdegrees, construction):
-    if construction not in ("hypersurface", "unprojection"):
-        raise ValueError(f"construction must be hypersurface or unprojection: {construction!r}")
+def _link_row(point, ktype, label, tweights, tdegrees):
     return LinkExpectation(
         point=point,
         kawamata_type=_ints(ktype, 3),  # type: ignore[arg-type]
         label=label,
         target_weights=_ints(tweights),
         target_degrees=_ints(tdegrees),
-        construction=construction,
     )
 
 
@@ -406,7 +403,7 @@ def _load_catalog(data_dir: str) -> tuple[FamilyRecord, ...]:
     """Parse and validate the catalog in ``data_dir``, then store its supports."""
     families = _read_rows(data_dir, "families.txt", 5, _family_row)
     ids = {r.id for r in families}
-    links = _expectations(data_dir, "link_targets.txt", 7, _link_row, ids)
+    links = _expectations(data_dir, "link_targets.txt", 6, _link_row, ids)
     exclusions = _expectations(data_dir, "exclusions.txt", 9, _exclusion_row, ids)
     matrices = _expectations(data_dir, "reference_matrices.txt", 6, _matrix_row, ids)
     records = tuple(

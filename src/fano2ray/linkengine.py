@@ -18,16 +18,16 @@ row does; the ``game`` verb attaches a link's recorded label where it prints.
 matrices).  Each table gives a row's recorded fields, its failure name, the
 site and tangent of its game and a check that reads the computed fields off
 the game's trace; the walk computes each family's singular locus once and
-runs each (family, site, tangent) game once.  A row whose game cannot run is
-written by the walk alone: one failure, and the row with the table's
-computed fields null and ``matched`` false.  The expectations are typed:
-:mod:`fano2ray.catalog` checks every recorded value as it loads.  Every
-known discrepancy in the reference data (misprinted Kawamata formats,
-degree-inconsistent key monomials, mislabelled blow-up rows, the u-column of
-the unprojected 110 matrix) is a deviation with both the recorded and the
-derived value.  The families without a fibration witness must be exactly
-the families with a recorded link.  Its :class:`Report` is the one verify
-verdict; the CLI only renders it.
+runs each (family, site, tangent) game once.  A row is matched exactly when
+its check wrote no failure.  A row whose game cannot run is written by the
+walk alone: one failure, and the table's computed fields null.  The
+expectations are typed: :mod:`fano2ray.catalog` checks every recorded value
+as it loads.  Every known discrepancy in the reference data (misprinted
+Kawamata formats, degree-inconsistent key monomials, mislabelled blow-up
+rows, the u-column of the unprojected 110 matrix) is a deviation with both
+the recorded and the derived value.  The families without a fibration
+witness must be exactly the families with a recorded link.  Its
+:class:`Report` is the one verify verdict; the CLI only renders it.
 """
 
 from __future__ import annotations
@@ -289,10 +289,8 @@ def _link_row(record: FamilyRecord, exp):
     def check(report: Report, trace: GameTrace, outcome: LinkOutcome):
         target = trace.final_target
         computed = str(target) if target else "(no divisorial contraction)"
-        matched = outcome.model == expected and trace.unprojected == (
-            exp.construction == "unprojection"
-        )
-        if not matched:
+        # one degree per game-model equation: the model states the construction
+        if outcome.model != expected:
             report.failures.append(f"{name}: expected {expected}, got {computed} ({outcome.kind})")
         r = trace.blowup.singularity.r
         derived_type = trace.blowup.singularity.per_variable_form
@@ -304,7 +302,7 @@ def _link_row(record: FamilyRecord, exp):
                 _quotient_type(r, exp.kawamata_type),
                 _quotient_type(r, derived_type),
             )
-        return computed, trace.unprojected, matched
+        return computed, trace.unprojected
 
     row = dict(family=record.id, point=exp.point, label=exp.label, expected=str(expected))
     return row, name, exp.point, None, check
@@ -316,8 +314,7 @@ def _exclusion_row(record: FamilyRecord, exp):
 
     def check(report: Report, trace: GameTrace, outcome: LinkOutcome):
         entry = trace.blowup.center_entry
-        verdict_ok = outcome.kind == exp.verdict
-        if not verdict_ok:
+        if outcome.kind != exp.verdict:
             report.failures.append(f"{name}: expected {exp.verdict}, got {outcome.kind}")
         if entry.count != exp.count:
             report.failures.append(
@@ -325,8 +322,7 @@ def _exclusion_row(record: FamilyRecord, exp):
                 f"recorded {exp.count}"
             )
         blowup = _raw_blowup_row(trace.raw_unprojected or trace.raw)
-        blowup_ok = blowup == exp.corrected_blowup
-        if not blowup_ok:
+        if blowup != exp.corrected_blowup:
             report.failures.append(
                 f"{name}: blow-up row {blowup} != recorded {exp.corrected_blowup}"
             )
@@ -346,8 +342,7 @@ def _exclusion_row(record: FamilyRecord, exp):
                 f"normalized {_quotient_type(sing.r, sing.per_variable_form)}",
             )
         _check_keys(record, entry, exp, report)
-        minus_k = list(outcome.minus_k)
-        return entry.count, outcome.kind, minus_k, outcome.position, verdict_ok and blowup_ok
+        return entry.count, outcome.kind, list(outcome.minus_k), outcome.position
 
     row = dict(family=record.id, site=exp.site, tangent=exp.tangent, expected_verdict=exp.verdict)
     return row, name, exp.site, exp.tangent, check
@@ -367,29 +362,29 @@ def _matrix_row(record: FamilyRecord, exp):
     def check(report: Report, trace: GameTrace, outcome: LinkOutcome):
         if "unprojected" in exp.stage and not trace.unprojected:
             report.failures.append(f"{name}: the game has no such model")
-            return "exact", False
+            return ("exact",)
         field = _STAGE_FIELDS[exp.stage]
         model = getattr(trace, field)
         mine, recorded = model.column_map(), dict(exp.columns)
         if mine == recorded:
-            return "exact", True
+            return ("exact",)
         if field in ("raw", "raw_unprojected"):
             report.failures.append(
                 f"{name}: computed columns {sorted(mine.items())} != "
                 f"recorded {sorted(recorded.items())}"
             )
-            return "exact", False
+            return ("exact",)
         # a well-formed matrix is recorded up to a rational regrading
         try:
             image = match_recorded_grading(model, recorded)
         except LatticeError as err:
             report.failures.append(f"{name}: {err}")
-            return "regrade", False
+            return ("regrade",)
         if image["u"] != recorded["u"]:
             report.add_deviation(
                 "grading_u_column", record.id, exp.point, str(recorded["u"]), str(image["u"])
             )
-        return "regrade", True
+        return ("regrade",)
 
     row = dict(family=record.id, point=exp.point, stage=exp.stage)
     return row, name, exp.point, None, check
@@ -427,14 +422,16 @@ def verify_tables() -> Report:
         for record in records:
             for exp in getattr(record.expected, table):
                 row, name, site, tangent, check = row_of(record, exp)
+                before = len(report.failures)
                 game = _game(games, record, site, tangent)
                 if isinstance(game, str):
                     # a recorded row whose game cannot run is a failure row
                     report.failures.append(f"{name}: {game}")
-                    values = (None,) * len(computed) + (False,)
+                    values = (None,) * len(computed)
                 else:
                     values = check(report, *game)
-                row.update(zip((*computed, "matched"), values, strict=True))
+                row.update(zip(computed, values, strict=True))
+                row["matched"] = len(report.failures) == before
                 rows.append(row)
     # a family with a fibration witness is not solid, so it has no link and
     # needs no smooth-point exclusion

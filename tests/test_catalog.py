@@ -396,11 +396,13 @@ def test_catalog_table_checks(tmp_path, monkeypatch, row, edited, message):
             "100 p2p4 y4 2",
             "tangent must be one of x0..x4, got 'y4'",
         ),
+        # an old 7-column link row: its construction column went, since the
+        # end model's degree count states it
         (
             "link_targets.txt",
+            "110 p4 3,2,5 cE7 1,1,1,2,3 7",
             "110 p4 3,2,5 cE7 1,1,1,2,3 7 hypersurface",
-            "110 p4 3,2,5 cE7 1,1,1,2,3 7 hypersurfce",
-            "construction must be hypersurface or unprojection: 'hypersurfce'",
+            "expected 6 columns, got 7",
         ),
         (
             "link_targets.txt",
@@ -504,8 +506,8 @@ def test_catalog_table_checks(tmp_path, monkeypatch, row, edited, message):
 def test_bad_expectation_value_names_file_and_line(
     tmp_path, monkeypatch, capsys, name, row, edited, message
 ):
-    # a tangent outside x0..x4 used to replay another game, a misspelled
-    # construction passed as a hypersurface link, a short type passed as a
+    # a tangent outside x0..x4 used to replay another game, a link row of
+    # the old 7-column format must not load, a short type passed as a
     # deviation, a misspelled stage failed the replay without a line, a
     # short matrix row was truncated to fewer columns, a signed, underscored
     # or non-ASCII integer was read by int(), and a malformed key or a

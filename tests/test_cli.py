@@ -392,7 +392,7 @@ def test_main_rejects_tangent_names_with_non_ascii_digits(capsys, tangent):
             "family 100 p3: expected Z_{10} ⊂ P(1,1,1,3,6)",
         ),
         (
-            "100 p3 3,1,2 cE6 1,1,1,3,5 10 hypersurface\n",
+            "100 p3 3,1,2 cE6 1,1,1,3,5 10\n",
             "",
             "families without a fibration witness [100, 101, 102, 103, 110] != "
             "families with a recorded link [101, 102, 103, 110]",
@@ -533,13 +533,30 @@ def test_verify_reports_a_wrong_recorded_exclusion(
     exclusions = data / "exclusions.txt"
     text = exclusions.read_text(encoding="utf-8")
     assert text.count(row) == 1
-    exclusions.write_text(text.replace(row, edited), encoding="utf-8")
+    text = text.replace(row, edited)
+    exclusions.write_text(text, encoding="utf-8")
     monkeypatch.setenv("FANO2RAY_DATA", str(data))
+    line = next(line for line in text.splitlines() if edited in line)
+    family, site, tangent = line.split()[:3]
 
     assert main(["verify", "--format", "json"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["ok"] is False
     assert doc["failures"] == [failure]
+    # a row that writes a failure is unmatched, whichever check wrote it
+    (edited_row,) = [
+        r
+        for r in doc["exclusions"]["rows"]
+        if (r["family"], r["site"], r["tangent"]) == (int(family), site, tangent)
+    ]
+    assert edited_row["matched"] is False
+    assert [r for r in doc["exclusions"]["rows"] if not r["matched"]] == [edited_row]
+    assert (doc["exclusions"]["matched"], doc["exclusions"]["total"]) == (6, 7)
+    assert main(["verify"]) == 1
+    markdown = capsys.readouterr().out
+    assert "\n- exclusions: 6/7 matched\n" in markdown
+    verdict = edited_row["computed_verdict"]
+    assert f"\n| {family} | {site} | {tangent} | {verdict} | False |\n" in markdown
     report = verify_tables()
     assert not report.ok
     assert report.failures == doc["failures"]
@@ -568,9 +585,8 @@ def test_verify_reports_a_wrong_recorded_exclusion(
         ),
         (
             "link_targets.txt",
-            "110 p2 1,4,1 cE7/2 1,1,2,2,3,5 6,7 unprojection\n",
-            "110 p2 1,4,1 cE7/2 1,1,2,2,3,5 6,7 unprojection\n"
-            "128 p1p3 1,1,1 cE6 1,1,1,3,5 10 hypersurface\n",
+            "110 p2 1,4,1 cE7/2 1,1,2,2,3,5 6,7\n",
+            "110 p2 1,4,1 cE7/2 1,1,2,2,3,5 6,7\n128 p1p3 1,1,1 cE6 1,1,1,3,5 10\n",
             [
                 "family 128 p1p3: p1p3 of family 128: neither stratum weight divides the "
                 "other, so no graded centering exists",

@@ -244,6 +244,25 @@ def test_only_the_last_step_contracts_a_divisor(catalog):
     assert (games, targets) == {"index2": (87, 64), "index1": (59, 34)}[catalog]
 
 
+def test_an_end_model_has_one_degree_per_equation_of_the_game_model():
+    # the link table records no construction: an end model's degree count
+    # states it, since a link ends in codimension 2 exactly when its game
+    # was unprojected
+    games = links = 0
+    records = [*load_catalog(), *(FamilyRecord(weights=w, degree=d) for w, d in INDEX_ONE)]
+    for rec in records:
+        for entry in singular_locus(rec):
+            for _, tangent in entry.tangent_candidates:
+                trace, outcome = run_game(rec, entry, tangent)
+                if trace.final_target:
+                    assert len(trace.final_target.degrees) == len(trace.game_model.equations)
+                if outcome.kind == "elementary_link":
+                    assert (len(outcome.model.degrees) == 2) == trace.unprojected
+                    links += 1
+                games += 1
+    assert (games, links) == (146, 73)
+
+
 def test_verify_tables_matches_everything():
     report = verify_tables()
     assert report.ok
