@@ -5,11 +5,13 @@ one family), ``game`` (one 2-ray game from a chosen point and tangent),
 ``exclude`` (numerical tests and fibration witness), ``verify`` (render the
 report of :func:`fano2ray.linkengine.verify_tables`, which replays all
 reference tables plus the solidity cross-check; exit status 0 iff its report
-is ok).  Every verb renders either markdown or a stable JSON document;
-exact rationals serialize as ``{"num": ..., "den": ...}`` pairs, never as
-decimals.  A plain command line (a verb, then its family and exactly spelled
-options) is read directly; ``--help``, abbreviations and malformed lines go
-through argparse, which is imported only then, with unchanged output.
+is ok).  Every verb renders either markdown or a stable JSON document, by
+one rule: a reported record is written as the dict of its fields, every
+tuple as a list, and exact rationals as ``{"num": ..., "den": ...}``
+pairs, never as decimals.  A plain command line (a verb, then its family
+and exactly spelled options) is read directly; ``--help``, abbreviations
+and malformed lines go through argparse, which is imported only then,
+with unchanged output.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from . import exclusion, linkengine
 from ._records import Record
 from .catalog import FamilyRecord, family, load_catalog, monomial_str
 from .singular import locate, singular_locus
-from .toric2ray import DivisorialTarget, RankTwoModel
+from .toric2ray import DivisorialTarget
 
 USAGE_ERROR = 2
 
@@ -45,19 +47,20 @@ def _frac_str(value: dict) -> str:
     return f"{value['num']}/{value['den']}"
 
 
-def _columns(model: RankTwoModel) -> list:
-    return [[lab, [v[0], v[1]]] for lab, v in model.columns]
+def _json(value):
+    """A record (a tuple with ``_fields``) as the dict of its fields and any
+    other tuple as a list, recursively; any other value as it is."""
+    if not isinstance(value, tuple):
+        return value
+    if hasattr(value, "_fields"):
+        return {field: _json(v) for field, v in zip(value._fields, value)}
+    return [_json(v) for v in value]
 
 
 def _end_model(model: DivisorialTarget | None, **extra) -> dict | None:
     if model is None:
         return None
-    return {
-        "weights": list(model.weights),
-        "degrees": list(model.degrees),
-        "display": str(model),
-        **extra,
-    }
+    return {**_json(model), "display": str(model), **extra}
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +71,7 @@ def _family_fields(record: FamilyRecord) -> dict:
     """The catalog row of one family, shared by ``catalog`` and ``analyze``."""
     return {
         "family": record.id,
-        "weights": list(record.weights),
+        "weights": _json(record.weights),
         "degree": record.degree,
         "index": record.index,
         "rational": record.rational,
@@ -86,12 +89,10 @@ def _analyze_report(command: Command) -> tuple[int, dict]:
     for entry in singular_locus(record):
         sites.append(
             {
+                **_json(entry.singularity),
                 "site": entry.site.label,
                 "count": entry.count,
-                "r": entry.singularity.r,
                 "local_weights": [[f"x{i}", w] for i, w in entry.singularity.local_weights],
-                "multiplier": entry.singularity.multiplier,
-                "kawamata_form": list(entry.singularity.kawamata_form),
                 "tangents": [
                     {"key": monomial_str(key), "variable": f"x{t}"}
                     for key, t in entry.tangent_candidates
@@ -108,15 +109,13 @@ def _step_dict(step) -> dict:
         "wall": step.wall,
         "ambient": {
             "kind": step.ambient_kind,
-            "weights": [[lab, w] for lab, w in step.ambient_weights],
+            "weights": _json(step.ambient_weights),
             "contracted": step.contracted,
         },
         "restricted": {
             "kind": step.restricted_kind,
-            "weights": [[lab, w] for lab, w in step.restricted_weights]
-            if step.restricted_weights
-            else None,
-            "witnesses": list(step.witnesses),
+            "weights": _json(step.restricted_weights),
+            "witnesses": _json(step.witnesses),
         },
         "target": _end_model(step.target, contracted=step.contracted),
     }
@@ -141,17 +140,17 @@ def _game_report(command: Command) -> tuple[int, dict]:
         "tangent": tangent,
         "unprojected": trace.unprojected,
         "models": {
-            "raw": _columns(trace.raw),
-            "well_formed": _columns(trace.well_formed),
-            "game": _columns(trace.game_model),
+            "raw": _json(trace.raw.columns),
+            "well_formed": _json(trace.well_formed.columns),
+            "game": _json(trace.game_model.columns),
         },
         "trace": [_step_dict(s) for s in trace.steps],
-        "minus_k": list(outcome.minus_k),
+        "minus_k": _json(outcome.minus_k),
         "position": outcome.position,
         "outcome": {
             "kind": outcome.kind,
             "target": _end_model(outcome.model, label=label),
-            "warnings": list(outcome.warnings),
+            "warnings": _json(outcome.warnings),
         },
     }
 
@@ -160,47 +159,30 @@ def _exclude_report(command: Command) -> tuple[int, dict]:
     record = family(command.family)
     smooth = exclusion.smooth_point_test(record)
     curve = exclusion.curve_test(record)
-    witness = exclusion.fibration_witness(record)
-    out = {
+    return 0, {
         "verb": "exclude",
         "family": record.id,
         "smooth_point": {
-            "h_degree": smooth.h_degree,
+            **_json(smooth),
             "test_value": _frac(smooth.test_value),
             "threshold": _frac(smooth.threshold),
-            "certified": smooth.certified,
-            "notes": list(smooth.notes),
         },
         "curve": {
             "test_value": _frac(curve.test_value),
             "threshold": _frac(curve.threshold),
             "certified": curve.certified,
         },
-        "fibration": None,
+        "fibration": _json(exclusion.fibration_witness(record)),
     }
-    if witness is not None:
-        out["fibration"] = {
-            "target": list(witness.target),
-            "kind": witness.kind,
-            "ambient": list(witness.ambient),
-            "degrees": list(witness.degrees),
-            "fibre_canonical_degree": witness.fibre_canonical_degree,
-            "pencil": witness.pencil,
-        }
-    return 0, out
 
 
 def _verify_report(command: Command) -> tuple[int, dict]:
     report = linkengine.verify_tables()
     out = {
         "verb": "verify",
-        "solidity": {
-            "witnessed": list(report.solidity.witnessed),
-            "witness_less": list(report.solidity.witness_less),
-            "links_confirmed": report.links_confirmed,
-        },
-        "deviations": [d._asdict() for d in report.deviations],
-        "failures": list(report.failures),
+        "solidity": {**_json(report.solidity), "links_confirmed": report.links_confirmed},
+        "deviations": [_json(d) for d in report.deviations],
+        "failures": report.failures,
         "ok": report.ok,
     }
     for section, rows in report.rows.items():

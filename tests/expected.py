@@ -1,11 +1,19 @@
 """Values the tests expect of the bundled catalog, eleven families of index
 one outside it, readers the tests share
-for model fields, the change of grading the invariance tests apply, and the
-command-line parser written out by hand."""
+for model fields, the change of grading the invariance tests apply, the
+command-line parser written out by hand, and an editable copy of the
+bundled data."""
 
 import argparse
+import shutil
+from pathlib import Path
 
+import fano2ray
 from fano2ray.toric2ray import LatticeError, RankTwoModel, TransformedEquation
+
+#: The ids of the bundled families, in order (``test_catalog`` pins them to
+#: the data).
+FAMILY_IDS = range(96, 131)
 
 #: Families with no fibration witness; conjecturally the solid ones.
 SOLID_CANDIDATES = frozenset({100, 101, 102, 103, 110})
@@ -87,3 +95,13 @@ def hand_written_parser():
     add_format(p)
     add_format(sub.add_parser("verify", help="replay all reference tables"))
     return parser
+
+
+def data_copy(tmp_path, monkeypatch):
+    """A copy of the bundled data directory under ``tmp_path``, which
+    ``FANO2RAY_DATA`` then names: a test edits its files before the catalog
+    is next loaded."""
+    data = tmp_path / "data"
+    shutil.copytree(Path(fano2ray.__file__).parent / "data", data)
+    monkeypatch.setenv("FANO2RAY_DATA", str(data))
+    return data

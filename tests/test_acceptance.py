@@ -30,7 +30,7 @@ from fano2ray.toric2ray import (
     well_form_model,
 )
 
-from expected import SOLID_CANDIDATES, regrade, rows, values
+from expected import FAMILY_IDS, SOLID_CANDIDATES, regrade, rows, values
 
 _T0 = time.perf_counter()
 
@@ -75,7 +75,7 @@ def test_criterion_03_non_solidity_partition():
             continue
         witnessed.add(r.id)
         assert w.fibre_canonical_degree < 0
-    assert witnessed == set(range(96, 131)) - set(SOLID_CANDIDATES)
+    assert witnessed == set(FAMILY_IDS) - set(SOLID_CANDIDATES)
     assert len(witnessed) == 30
     _report(3, "exactly 30 families carry a fibration witness, negative fibre degree")
 

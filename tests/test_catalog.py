@@ -3,16 +3,13 @@ from __future__ import annotations
 import operator
 import random
 import re
-import shutil
 from fractions import Fraction
 from math import gcd, prod
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-import fano2ray
 from fano2ray import catalog
 from fano2ray.catalog import (
     CatalogError,
@@ -28,7 +25,7 @@ from fano2ray.catalog import (
 from fano2ray.cli import main
 from fano2ray.singular import NotTerminal, UnresolvedTangent, singular_locus
 
-from expected import SOLID_CANDIDATES
+from expected import FAMILY_IDS, SOLID_CANDIDATES, data_copy
 
 
 def coin_change_count(weights, degree):
@@ -80,7 +77,7 @@ def brute_support(weights, degree):
 def test_load_catalog_shape():
     records = load_catalog()
     assert len(records) == 35
-    assert [r.id for r in records] == list(range(96, 131))
+    assert [r.id for r in records] == list(FAMILY_IDS)
 
 
 def test_table_rows():
@@ -152,7 +149,7 @@ def test_monomial_support_counts_and_members():
     assert monomial_support((1, 2, 3, 5, 9), -1) == frozenset()
 
 
-@pytest.mark.parametrize("fid", range(96, 131))
+@pytest.mark.parametrize("fid", FAMILY_IDS)
 def test_monomial_support_against_brute_force(fid):
     r = family(fid)
     assert set(monomial_support(r.weights, r.degree)) == brute_support(r.weights, r.degree)
@@ -290,9 +287,7 @@ def test_family_support_cache_is_bounded():
 def test_load_catalog_is_parsed_once_per_data_directory(tmp_path, monkeypatch):
     records = load_catalog()
     assert load_catalog() is records
-    data = tmp_path / "data"
-    shutil.copytree(Path(fano2ray.__file__).parent / "data", data)
-    monkeypatch.setenv("FANO2RAY_DATA", str(data))
+    data = data_copy(tmp_path, monkeypatch)
     copied = load_catalog()
     assert copied is not records and copied == records
     assert load_catalog() is copied
@@ -335,14 +330,12 @@ def test_well_form_weights_rejects_non_integers():
 def test_unreadable_family_line_names_file_and_line(
     tmp_path, monkeypatch, capsys, line, message
 ):
-    data = tmp_path / "data"
-    shutil.copytree(Path(fano2ray.__file__).parent / "data", data)
+    data = data_copy(tmp_path, monkeypatch)
     path = data / "families.txt"
     lines = path.read_text(encoding="utf-8").splitlines()
     number = next(n for n, text in enumerate(lines, 1) if text.startswith("110 "))
     lines[number - 1] = line
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    monkeypatch.setenv("FANO2RAY_DATA", str(data))
 
     where = f"{path}, line {number}: "
     with pytest.raises(CatalogError, match=re.escape(where) + ".*" + re.escape(message)):
@@ -374,14 +367,12 @@ def test_catalog_table_checks(tmp_path, monkeypatch, row, edited, message):
     # checks over the parsed rows: the ids are 96..130 (so there are 35
     # families) and every support has a monomial; each error names the file
     # and the offending id, as a row error names its line
-    data = tmp_path / "data"
-    shutil.copytree(Path(fano2ray.__file__).parent / "data", data)
+    data = data_copy(tmp_path, monkeypatch)
     path = data / "families.txt"
     lines = path.read_text(encoding="utf-8").splitlines()
     number = next(n for n, text in enumerate(lines) if text.startswith(row))
     lines[number : number + 1] = [] if edited is None else [edited]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    monkeypatch.setenv("FANO2RAY_DATA", str(data))
 
     with pytest.raises(CatalogError, match=re.escape(f"{path}: {message}")):
         load_catalog()
@@ -512,14 +503,12 @@ def test_bad_expectation_value_names_file_and_line(
     # short matrix row was truncated to fewer columns, a signed, underscored
     # or non-ASCII integer was read by int(), and a malformed key or a
     # misspelled verdict failed only the replay
-    data = tmp_path / "data"
-    shutil.copytree(Path(fano2ray.__file__).parent / "data", data)
+    data = data_copy(tmp_path, monkeypatch)
     path = data / name
     lines = path.read_text(encoding="utf-8").splitlines()
     number = next(n for n, text in enumerate(lines, 1) if text.startswith(row))
     lines[number - 1] = lines[number - 1].replace(row, edited)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    monkeypatch.setenv("FANO2RAY_DATA", str(data))
 
     where = f"{path}, line {number}: "
     with pytest.raises(CatalogError, match=re.escape(where + message)):

@@ -3,7 +3,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,12 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fano2ray
-from expected import hand_written_parser
+from expected import FAMILY_IDS, data_copy, hand_written_parser
 from fano2ray.catalog import load_catalog
 from fano2ray.cli import Command, _read_plain, build_parser, main, run, serialize
 from fano2ray import linkengine, singular
+from fano2ray.exclusion import ExclusionReport, FibrationWitness, SoliditySummary
 from fano2ray.linkengine import verify_tables
 from fano2ray.singular import singular_locus
+from fano2ray.toric2ray import DivisorialTarget
 
 
 def test_verify_json_roundtrip_and_status():
@@ -26,8 +27,56 @@ def test_verify_json_roundtrip_and_status():
     assert status == 0
     text = serialize(report, "json")
     assert json.loads(text) == report
+    assert report["solidity"].keys() == {*SoliditySummary._fields, "links_confirmed"}
     assert report["deviations"]
     assert report["ok"]
+
+
+def _roundtrip(command: Command) -> dict:
+    """The report of ``command``, which must read back from its JSON
+    document unchanged: a tuple left anywhere reads back as a list."""
+    status, report = run(command)
+    assert status == 0
+    assert json.loads(serialize(report, "json")) == report
+    return report
+
+
+@pytest.mark.parametrize(
+    "command",
+    [Command(verb="catalog")]
+    + [Command(verb=verb, family=fid) for verb in ("analyze", "exclude") for fid in FAMILY_IDS],
+    ids=lambda c: c.verb if c.family is None else f"{c.verb}-{c.family}",
+)
+def test_json_roundtrip_of_catalog_analyze_and_exclude(command):
+    _roundtrip(command)
+
+
+def test_game_json_roundtrip_and_end_models():
+    # every game of the 35 families; an end model is written as the fields
+    # of its DivisorialTarget, with its display text and its extra keys
+    games = models = 0
+    for rec in load_catalog():
+        for entry in singular_locus(rec):
+            for _, t in entry.tangent_candidates:
+                point, tangent = entry.site.label, f"x{t}"
+                report = _roundtrip(Command(verb="game", family=rec.id, point=point, tangent=tangent))
+                games += 1
+                targets = [step["target"] for step in report["trace"]]
+                for target in filter(None, [*targets, report["outcome"]["target"]]):
+                    assert target.keys() >= set(DivisorialTarget._fields)
+                    models += 1
+    assert (games, models) == (87, 119)
+
+
+def test_exclude_writes_the_fields_of_its_records():
+    witnesses = 0
+    for fid in FAMILY_IDS:
+        _, report = run(Command(verb="exclude", family=fid))
+        assert report["smooth_point"].keys() == set(ExclusionReport._fields)
+        if report["fibration"] is not None:
+            assert report["fibration"].keys() == set(FibrationWitness._fields)
+            witnesses += 1
+    assert witnesses == 30
 
 
 def test_game_markdown_mentions_end_model():
@@ -403,13 +452,11 @@ def test_main_rejects_tangent_names_with_non_ascii_digits(capsys, tangent):
 def test_verify_reports_a_wrong_recorded_target(
     tmp_path, monkeypatch, capsys, row, edited, failure
 ):
-    data = tmp_path / "data"
-    shutil.copytree(Path(fano2ray.__file__).parent / "data", data)
+    data = data_copy(tmp_path, monkeypatch)
     targets = data / "link_targets.txt"
     text = targets.read_text(encoding="utf-8")
     assert text.count(row) == 1
     targets.write_text(text.replace(row, edited), encoding="utf-8")
-    monkeypatch.setenv("FANO2RAY_DATA", str(data))
 
     assert main(["verify", "--format", "json"]) == 1
     doc = json.loads(capsys.readouterr().out)
@@ -434,14 +481,12 @@ def test_verify_reports_a_wrong_recorded_target(
 def test_verify_reports_a_wrong_recorded_matrix_label(tmp_path, monkeypatch, capsys, edited):
     # a well-formed matrix whose labels differ from the model's is a failure
     # row, not a match (a dropped column) or a bare lookup error (a renamed one)
-    data = tmp_path / "data"
-    shutil.copytree(Path(fano2ray.__file__).parent / "data", data)
+    data = data_copy(tmp_path, monkeypatch)
     matrices = data / "reference_matrices.txt"
     row = "100 p3 wellformed u,y3,y4,y1,y2,y0 2,1,1,0,-1,-1 -5,0,2,1,4,3\n"
     text = matrices.read_text(encoding="utf-8")
     assert text.count(row) == 1
     matrices.write_text(text.replace(row, edited), encoding="utf-8")
-    monkeypatch.setenv("FANO2RAY_DATA", str(data))
 
     assert main(["verify", "--format", "json"]) == 1
     doc = json.loads(capsys.readouterr().out)
@@ -466,12 +511,10 @@ def test_verify_reports_a_recorded_matrix_of_a_missing_stage(tmp_path, monkeypat
     # the game at 100 p3 needs no unprojection: a recorded unprojected matrix
     # used to crash verify with an AttributeError on None, and a well-formed
     # unprojected one matched the well-formed model
-    data = tmp_path / "data"
-    shutil.copytree(Path(fano2ray.__file__).parent / "data", data)
+    data = data_copy(tmp_path, monkeypatch)
     matrices = data / "reference_matrices.txt"
     with open(matrices, "a", encoding="utf-8") as f:
         f.write(row + "\n")
-    monkeypatch.setenv("FANO2RAY_DATA", str(data))
 
     assert main(["verify", "--format", "json"]) == 1
     doc = json.loads(capsys.readouterr().out)
@@ -528,14 +571,12 @@ def test_verify_reports_a_recorded_matrix_of_a_missing_stage(tmp_path, monkeypat
 def test_verify_reports_a_wrong_recorded_exclusion(
     tmp_path, monkeypatch, capsys, row, edited, failure
 ):
-    data = tmp_path / "data"
-    shutil.copytree(Path(fano2ray.__file__).parent / "data", data)
+    data = data_copy(tmp_path, monkeypatch)
     exclusions = data / "exclusions.txt"
     text = exclusions.read_text(encoding="utf-8")
     assert text.count(row) == 1
     text = text.replace(row, edited)
     exclusions.write_text(text, encoding="utf-8")
-    monkeypatch.setenv("FANO2RAY_DATA", str(data))
     line = next(line for line in text.splitlines() if edited in line)
     family, site, tangent = line.split()[:3]
 
@@ -614,13 +655,11 @@ def test_verify_reports_a_recorded_game_that_cannot_run(
 ):
     # a row whose game cannot run is a failure row like any other: verify
     # prints its whole document, in both formats, and nothing on stderr
-    data = tmp_path / "data"
-    shutil.copytree(Path(fano2ray.__file__).parent / "data", data)
+    data = data_copy(tmp_path, monkeypatch)
     table = data / name
     text = table.read_text(encoding="utf-8")
     assert text.count(row) == 1
     table.write_text(text.replace(row, edited), encoding="utf-8")
-    monkeypatch.setenv("FANO2RAY_DATA", str(data))
 
     assert main(["verify", "--format", "json"]) == 1
     captured = capsys.readouterr()
@@ -651,15 +690,13 @@ def test_verify_reports_each_row_of_a_family_whose_locus_raises(tmp_path, monkey
     # X_17 in P(1,2,3,6,7) is well-formed and of index 2, but its vertex p1
     # is not terminal: the locus raises once, and each of the four rows at
     # family 100 is one failure
-    data = tmp_path / "data"
-    shutil.copytree(Path(fano2ray.__file__).parent / "data", data)
+    data = data_copy(tmp_path, monkeypatch)
     families = data / "families.txt"
     text = families.read_text(encoding="utf-8")
     assert text.count("100 1,2,3,5,9 18 no -\n") == 1
     families.write_text(
         text.replace("100 1,2,3,5,9 18 no -\n", "100 1,2,3,6,7 17 no -\n"), encoding="utf-8"
     )
-    monkeypatch.setenv("FANO2RAY_DATA", str(data))
     loci = []
     original = singular.singular_locus
 

@@ -17,7 +17,7 @@ from fano2ray.exclusion import (
 from fano2ray.linkengine import run_game
 from fano2ray.singular import locate
 
-from expected import SOLID_CANDIDATES
+from expected import FAMILY_IDS, SOLID_CANDIDATES
 
 
 def test_smooth_point_examples():
@@ -153,7 +153,7 @@ def test_solidity_summary_partition():
     summary = solidity_summary()
     assert set(summary.witness_less) == {100, 101, 102, 103, 110}
     assert len(summary.witnessed) == 30
-    assert set(summary.witnessed) | set(summary.witness_less) == set(range(96, 131))
+    assert set(summary.witnessed) | set(summary.witness_less) == set(FAMILY_IDS)
 
 
 @pytest.mark.parametrize("fid", sorted(SOLID_CANDIDATES))

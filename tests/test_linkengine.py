@@ -1,13 +1,10 @@
 from __future__ import annotations
 
 import re
-import shutil
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
-import fano2ray
 from fano2ray import cli, exclusion, linkengine
 from fano2ray.catalog import MATRIX_STAGES, FamilyRecord, family, load_catalog
 from fano2ray.linkengine import GameTrace, run_game, verify_tables
@@ -21,7 +18,7 @@ from fano2ray.toric2ray import (
     well_form_model,
 )
 
-from expected import INDEX_ONE, values
+from expected import INDEX_ONE, data_copy, values
 
 
 def raw_model(fid, point, tangent):
@@ -338,11 +335,9 @@ def test_verify_tables_builds_each_game_once(monkeypatch):
 def test_a_row_naming_the_first_tangent_reuses_the_game(tmp_path, monkeypatch):
     # the exclusion row 102 p2 x0 names the site's first tangent candidate,
     # the game a matrix row at 102 p2 refers to: the two rows share one game
-    data = tmp_path / "data"
-    shutil.copytree(Path(fano2ray.__file__).parent / "data", data)
+    data = data_copy(tmp_path, monkeypatch)
     with open(data / "reference_matrices.txt", "a", encoding="utf-8") as f:
         f.write("102 p2 raw u,y2,y3,y4,y1,y0 0,5,7,13,2,1 -5,0,1,4,1,3\n")
-    monkeypatch.setenv("FANO2RAY_DATA", str(data))
     builds = []
     original = linkengine.build_model
     monkeypatch.setattr(
