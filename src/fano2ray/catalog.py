@@ -1,10 +1,11 @@
-"""Catalog of the 35 quasi-smooth Fano threefold hypersurface families of index >= 2.
+"""Catalog of quasi-smooth Fano threefold hypersurface families of index >= 2.
 
 A family is a general hypersurface ``X_d`` in a weighted projective space
-``P(a0,...,a4)`` whose Fano index ``sum(a_i) - d`` is at least two.  The
-catalog stores the weights, the degree, the rationality of a general member
-and the reference expectation data (distinguished points, end models of the
-elementary links, exclusion games, recorded weight matrices) used by
+``P(a0,...,a4)`` whose Fano index ``sum(a_i) - d`` is at least two; the
+bundled data lists the 35 such families, and no rule here names their ids.
+The catalog stores the weights, the degree, the rationality of a general
+member and the reference expectation data (distinguished points, end models
+of the elementary links, exclusion games, recorded weight matrices) used by
 :mod:`fano2ray.linkengine` to replay the full classification.
 
 General members carry no coefficients anywhere in this package: every
@@ -242,10 +243,11 @@ class FamilyRecord(Record):
         return f"FamilyRecord({self.name})"
 
 
-#: The family supports of every loaded catalog, by ``(weights, degree)``:
-#: ``blowup_weights`` and ``build_model`` read one in every game.  Any other
-#: record builds its support per call, by ``monomial_support`` looked up per
-#: call, so tracing counts every build.
+#: The family supports of every loaded catalog, by ``(weights, degree)``,
+#: each stored as its row is read; each is exact, so a failed load leaves
+#: nothing wrong.  ``blowup_weights`` and ``build_model`` read one in every
+#: game.  Any other record builds its support per call, by
+#: ``monomial_support`` looked up per call, so tracing counts every build.
 _FAMILY_SUPPORTS: dict[tuple[Weights, int], frozenset[Monomial]] = {}
 
 
@@ -371,42 +373,51 @@ def _matrix_row(point, stage, labels, row1, row2):
     if stage not in MATRIX_STAGES:
         raise ValueError(f"stage must be one of {', '.join(MATRIX_STAGES)}: {stage!r}")
     labels = labels.split(",")
+    if len(set(labels)) < len(labels):
+        raise ValueError(f"column label {max(labels, key=labels.count)!r} repeats")
     rows = zip(_ints(row1, len(labels)), _ints(row2, len(labels)))
     return MatrixExpectation(point=point, stage=stage, columns=tuple(zip(labels, rows)))
 
 
-def _family_row(fam, weights, degree, rational, h) -> FamilyRecord:
-    """A family without its expectations, which are read after every family."""
+def _family_row(ids: list[int], fam, weights, degree, rational, h) -> FamilyRecord:
+    """A family without its expectations, its id larger than the last of
+    ``ids`` (the rows before it) and appended; its support is stored."""
     if rational not in ("yes", "no"):
         raise ValueError(f"rational must be yes or no, got {rational!r}")
     h_degree = None if h == "-" else _int(h)
     if h_degree is not None and h_degree < 1:
         raise ValueError(f"h must be a positive integer or -, got {h!r}")
     fam_id, weights, degree = _int(fam), _ints(weights), _int(degree)
+    if ids and fam_id <= ids[-1]:
+        raise ValueError(f"family id {fam_id} is not larger than the previous row's {ids[-1]}")
     # raises on a weight count other than 5 or a weight <= 0
     if fano_index(weights, degree) < 2:
         raise ValueError("Fano index below 2")
     # well_form_weights returns the sorted well-formed vector
     if well_form_weights(weights) != weights:
         raise ValueError("weights must be nondecreasing and well-formed")
+    support = monomial_support(weights, degree)
+    if not support:
+        raise ValueError("empty monomial support")
+    _FAMILY_SUPPORTS[weights, degree] = support
+    ids.append(fam_id)
     return FamilyRecord(
         id=fam_id,
         weights=weights,
         degree=degree,
         rational=rational == "yes",
-        expected=FamilyExpectations(),
         h_degree=h_degree,
     )
 
 
 def _load_catalog(data_dir: str) -> tuple[FamilyRecord, ...]:
-    """Parse and validate the catalog in ``data_dir``, then store its supports."""
-    families = _read_rows(data_dir, "families.txt", 5, _family_row)
-    ids = {r.id for r in families}
+    """Read the four data files of ``data_dir`` and attach the expectations."""
+    ids: list[int] = []
+    families = _read_rows(data_dir, "families.txt", 5, lambda *row: _family_row(ids, *row))
     links = _expectations(data_dir, "link_targets.txt", 6, _link_row, ids)
     exclusions = _expectations(data_dir, "exclusions.txt", 9, _exclusion_row, ids)
     matrices = _expectations(data_dir, "reference_matrices.txt", 6, _matrix_row, ids)
-    records = tuple(
+    return tuple(
         r._replace(
             expected=FamilyExpectations(
                 links=links.get(r.id, ()),
@@ -414,23 +425,8 @@ def _load_catalog(data_dir: str) -> tuple[FamilyRecord, ...]:
                 matrices=matrices.get(r.id, ()),
             )
         )
-        for r in sorted(families, key=lambda r: r.id)
+        for r in families
     )
-    path = os.path.join(data_dir, "families.txt")
-    listed = [r.id for r in records]
-    if listed != list(range(96, 131)):
-        wrong = [f"missing {i}" for i in range(96, 131) if i not in ids]
-        wrong += [f"repeated {i}" for i in sorted(ids) if listed.count(i) > 1]
-        wrong += [f"unexpected {i}" for i in sorted(ids) if not 96 <= i <= 130]
-        raise CatalogError(
-            f"{path}: family ids must be the contiguous range 96..130; {', '.join(wrong)}"
-        )
-    supports = {(r.weights, r.degree): monomial_support(r.weights, r.degree) for r in records}
-    for r in records:
-        if not supports[r.weights, r.degree]:
-            raise CatalogError(f"{path}: family {r.id}: empty monomial support")
-    _FAMILY_SUPPORTS.update(supports)
-    return records
 
 
 #: ``load_catalog``'s records, by data directory.
@@ -438,8 +434,8 @@ _CATALOGS: dict[str, tuple[FamilyRecord, ...]] = {}
 
 
 def load_catalog() -> tuple[FamilyRecord, ...]:
-    """All 35 records, validated against the structural invariants: parsed
-    once per data directory, the same tuple on every later call."""
+    """Every family of the data directory, in id order, checked row by row:
+    parsed once per data directory, the same tuple on every later call."""
     data_dir = _data_dir()
     records = _CATALOGS.get(data_dir)
     if records is None:
@@ -448,17 +444,18 @@ def load_catalog() -> tuple[FamilyRecord, ...]:
 
 
 def family(family_id: int) -> FamilyRecord:
-    """Look up one family by its id, in the contiguous range of the loaded ids.
+    """Look up one family of the loaded catalog by its id.
 
     The id must be an integer (``operator.index``): a float or a string
-    raises :class:`TypeError`, an id out of range :class:`KeyError`.
+    raises :class:`TypeError`, an id no row has :class:`KeyError`.
     """
     try:
         family_id = operator.index(family_id)
     except TypeError:
         raise TypeError(f"family id must be an integer, got {family_id!r}") from None
     records = load_catalog()
-    first, last = records[0].id, records[-1].id
-    if not first <= family_id <= last:
-        raise KeyError(f"no family {family_id}; ids run {first}..{last}")
-    return records[family_id - first]
+    for record in records:
+        if record.id == family_id:
+            return record
+    ids = f"ids run {records[0].id}..{records[-1].id}" if records else "the catalog is empty"
+    raise KeyError(f"no family {family_id}; {ids}")

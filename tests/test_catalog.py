@@ -348,34 +348,59 @@ def test_unreadable_family_line_names_file_and_line(
 @pytest.mark.parametrize(
     "row, edited, message",
     [
-        ("130 ", None, "family ids must be the contiguous range 96..130; missing 130"),
-        (
-            "130 ",
-            "131 3,4,5,6,7 12 yes -",
-            "family ids must be the contiguous range 96..130; missing 130, unexpected 131",
-        ),
         (
             "130 ",
             "129 2,3,4,5,7 10 yes -",
-            "family ids must be the contiguous range 96..130; missing 130, repeated 129",
+            "family id 129 is not larger than the previous row's 129",
         ),
-        ("110 ", "110 2,3,5,7,11 1 no 15", "family 110: empty monomial support"),
+        (
+            "110 ",
+            "95 1,3,5,7,8 21 no 15",
+            "family id 95 is not larger than the previous row's 109",
+        ),
+        ("110 ", "110 2,3,5,7,11 1 no 15", "empty monomial support"),
     ],
-    ids=["missing-id", "unexpected-id", "repeated-id", "empty-support"],
+    ids=["repeated-id", "decreasing-id", "empty-support"],
 )
 def test_catalog_table_checks(tmp_path, monkeypatch, row, edited, message):
-    # checks over the parsed rows: the ids are 96..130 (so there are 35
-    # families) and every support has a monomial; each error names the file
-    # and the offending id, as a row error names its line
+    # the checks that read more than one column of families.txt: ids
+    # increase row by row, and every support has a monomial; like every row
+    # error, each names the file and the line
     data = data_copy(tmp_path, monkeypatch)
     path = data / "families.txt"
     lines = path.read_text(encoding="utf-8").splitlines()
-    number = next(n for n, text in enumerate(lines) if text.startswith(row))
-    lines[number : number + 1] = [] if edited is None else [edited]
+    number = next(n for n, text in enumerate(lines, 1) if text.startswith(row))
+    lines[number - 1] = edited
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    with pytest.raises(CatalogError, match=re.escape(f"{path}: {message}")):
+    with pytest.raises(CatalogError, match=re.escape(f"{path}, line {number}: {message}")):
         load_catalog()
+
+
+def test_a_catalog_without_a_row_loads_the_others(tmp_path, monkeypatch):
+    # no id range is a rule: family 98's row (which no reference row names)
+    # dropped, the other 34 load and are looked up by id, not by offset
+    data = data_copy(tmp_path, monkeypatch)
+    path = data / "families.txt"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(t for t in lines if not t.startswith("98 ")) + "\n", "utf-8")
+
+    records = load_catalog()
+    assert [r.id for r in records] == [i for i in FAMILY_IDS if i != 98]
+    assert family(99) is records[2] and family(99).weights == (1, 1, 2, 3, 5)
+    with pytest.raises(KeyError, match="no family 98; ids run 96..130"):
+        family(98)
+
+
+def test_an_empty_catalog_names_no_family(tmp_path, monkeypatch, capsys):
+    data = data_copy(tmp_path, monkeypatch)
+    for name in ("families.txt", "link_targets.txt", "exclusions.txt", "reference_matrices.txt"):
+        (data / name).write_text("", encoding="utf-8")
+    assert load_catalog() == ()
+    with pytest.raises(KeyError, match="no family 100; the catalog is empty"):
+        family(100)
+    assert main(["analyze", "100"]) == 1
+    assert capsys.readouterr().err == "error: no family 100; the catalog is empty\n"
 
 
 @pytest.mark.parametrize(
@@ -432,6 +457,13 @@ def test_catalog_table_checks(tmp_path, monkeypatch, row, edited, message):
             "100 p3 raw u,y3,y4,y2,y1,y0 0,5,9,3,2,1_0 ",
             "not an integer: '1_0'",
         ),
+        # a repeated label used to load, and the column map kept its last copy
+        (
+            "reference_matrices.txt",
+            "100 p3 raw u,y3,y4,y2,y1,y0 0,5,9,3,2,1 -5,0,2,4,1,3",
+            "100 p3 raw u,y3,y4,y2,y1,y0,y0 0,5,9,3,2,1,1 -5,0,2,4,1,3,3",
+            "column label 'y0' repeats",
+        ),
         (
             "exclusions.txt",
             "100 p2p4 x4 2 ",
@@ -485,6 +517,7 @@ def test_catalog_table_checks(tmp_path, monkeypatch, row, edited, message):
         "matrix-row",
         "signed-integer",
         "underscored-integer",
+        "repeated-label",
         "non-ascii-integer",
         "key-variable",
         "key-exponent",

@@ -13,6 +13,10 @@ nondecreasing (``well_form_weights(w) == w``), no weight equals ``d`` (no
 linear cone), the support is nonempty, and ``singular_locus`` raises no
 ``ValueError``, so every quotient singularity on a general member is
 terminal and every vertex on it has a key monomial.
+
+The filter also derives the bundled set: over every nondecreasing five
+weights ``<= 20`` and index 2..20 it keeps exactly the bundled ``(weights,
+degree)`` pairs, so the catalog needs no rule that names its ids.
 """
 
 from __future__ import annotations
@@ -57,15 +61,46 @@ def filter_failure(weights, degree) -> str | None:
     """Why the filter rejects ``X_degree ⊂ P(weights)``, or ``None``."""
     if well_form_weights(weights) != weights:
         return "weights not well formed and nondecreasing"
+    return _degree_failure(weights, degree)
+
+
+def _degree_failure(weights, degree) -> str | None:
+    """The filter's checks after the weights', cheapest first."""
     if degree in weights:
         return "a weight equals the degree"
-    if not monomial_support(weights, degree):
-        return "empty support"
     try:
         singular_locus(FamilyRecord(weights=weights, degree=degree))
     except ValueError as err:
         return f"{type(err).__name__}: {err}"
+    if not monomial_support(weights, degree):
+        return "empty support"
     return None
+
+
+def search(max_weight: int, prune: bool = True) -> list[tuple[tuple[int, ...], int]]:
+    """Every ``(weights, degree)`` the filter keeps over nondecreasing weights
+    ``<= max_weight`` and index 2..20, in the order of the weights.
+
+    The weights are checked once per tuple.  With ``prune``, a degree whose
+    heaviest vertex ``p4`` lies on the member (``a4 > 1`` and ``a4 ∤ d``)
+    with no key monomial ``x4^k * x_j`` (``k >= 1``) is skipped before
+    ``singular_locus``, which raises :class:`UnresolvedTangent` there.
+    """
+    kept = []
+    for weights in combinations_with_replacement(range(1, max_weight + 1), 5):
+        if well_form_weights(weights) != weights:
+            continue
+        top = weights[4]
+        for index in range(2, 21):
+            degree = sum(weights) - index
+            if degree < 1:
+                break
+            if prune and top > 1 and degree % top:
+                if not any((degree - a) % top == 0 and degree - a >= top for a in weights[:4]):
+                    continue
+            if _degree_failure(weights, degree) is None:
+                kept.append((weights, degree))
+    return kept
 
 
 @pytest.mark.parametrize(
@@ -116,3 +151,19 @@ def test_the_filter_implies_the_oracle(candidates, examples, kept):
     passed = [(w, d) for w, d in pairs if filter_failure(w, d) is None]
     assert (len(pairs), len(passed)) == (examples, kept)
     assert [(w, d) for w, d in passed if criterion_failures(w, d)] == []
+
+
+def test_the_filter_keeps_exactly_the_bundled_pairs():
+    # the bundled rows are derived, not listed: a search over every
+    # nondecreasing five weights <= 20 and index 2..20 keeps them all, and
+    # nothing else
+    assert sorted(search(20)) == sorted(BUNDLED)
+
+
+def test_the_vertex_prune_hides_no_family():
+    # the same search without the prune keeps the same pairs: the 33 bundled
+    # rows with weights <= 12 (all but 102 and 103)
+    pruned = search(12)
+    assert pruned == search(12, prune=False)
+    assert sorted(pruned) == sorted((w, d) for w, d in BUNDLED if w[4] <= 12)
+    assert len(pruned) == 33
